@@ -4,7 +4,7 @@
 //!   rows incrementally and re-solving must cost O(m²h + m³), independent
 //!   of how many rows the model has already seen, while the from-scratch
 //!   fit grows linearly with ℓ.
-//! * `knn_50k_2d` — brute force vs KD-tree at SN-like scale.
+//! * `knn_50k_2d` — brute force vs VP-tree at SN-like scale.
 //! * `learn_fixed` — the Algorithm 1 learning phase.
 //! * `combine` — the Formula 10–12 candidate vote.
 
@@ -12,7 +12,7 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use iim_core::{combine_candidates, learn_fixed, Weighting};
 use iim_linalg::{ridge_fit, GramAccumulator};
 use iim_neighbors::brute::{FeatureMatrix, Neighbor};
-use iim_neighbors::{KdTree, NeighborOrders};
+use iim_neighbors::{NeighborOrders, VpTree};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -65,7 +65,7 @@ fn bench_knn(c: &mut Criterion) {
     let n = 50_000;
     let data: Vec<f64> = (0..n * 2).map(|_| rng.gen_range(0.0..100.0)).collect();
     let fm = FeatureMatrix::from_dense(2, (0..n as u32).collect::<Vec<u32>>(), data);
-    let tree = KdTree::build(fm.clone());
+    let tree = VpTree::build(fm.clone());
     let queries: Vec<[f64; 2]> = (0..64)
         .map(|_| [rng.gen_range(0.0..100.0), rng.gen_range(0.0..100.0)])
         .collect();
@@ -80,7 +80,7 @@ fn bench_knn(c: &mut Criterion) {
             }
         });
     });
-    group.bench_function("kdtree", |b| {
+    group.bench_function("vptree", |b| {
         let mut out = Vec::new();
         b.iter(|| {
             for q in &queries {

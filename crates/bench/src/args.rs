@@ -15,15 +15,15 @@ pub struct Args {
     /// Worker-thread override (`--threads`); `None` leaves the process
     /// default (`IIM_THREADS` / available parallelism) in place.
     pub threads: Option<usize>,
-    /// Neighbor-index override (`--index auto|brute|kdtree|vptree`),
+    /// Neighbor-index override (`--index auto|brute|vptree`),
     /// plumbed into `IimConfig`/the baselines by the binaries that honour
-    /// it (the `serving` bin benches every variant regardless).
+    /// it (the `serving` bin benches both variants regardless).
     pub index: IndexChoice,
 }
 
 impl Args {
     /// Parses `--seed <u64>`, `--n <usize>`, `--threads <usize>`,
-    /// `--index <auto|brute|kdtree|vptree>`, `--quick` from `std::env`.
+    /// `--index <auto|brute|vptree>`, `--quick` from `std::env`.
     ///
     /// A `--threads` value is applied immediately via
     /// [`iim_exec::set_default_threads`], so every pool the binary touches
@@ -71,7 +71,7 @@ impl Args {
                     out.index = it
                         .next()
                         .and_then(|v| IndexChoice::parse(&v))
-                        .expect("--index needs one of: auto, brute, kdtree, vptree");
+                        .expect("--index needs one of: auto, brute, vptree");
                 }
                 "--quick" => out.quick = true,
                 other => {

@@ -83,7 +83,7 @@ fn main() {
 
         // A stream of fresh tuples from the same distribution, absorbed
         // one at a time — each timed individually so the max surfaces any
-        // rebuild hiccup (the kd-tree's pending buffer, Sherman–Morrison
+        // rebuild hiccup (the vp-tree's pending buffer, Sherman–Morrison
         // state construction on first touch).
         let mut rng = StdRng::seed_from_u64(seed.wrapping_add(101));
         let stream: Vec<(Vec<f64>, f64)> = (0..n_absorbs)

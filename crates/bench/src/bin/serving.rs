@@ -1,11 +1,11 @@
 //! **Serving baseline**: offline model build + online queries/sec for
-//! IIM served through the brute scan vs every stored neighbor index
-//! (kd-tree *and* vp-tree), over a grid of training sizes and
-//! dimensionalities, recorded to `bench_results/BENCH_serving.json`.
+//! IIM served through the brute scan vs the stored VP-tree index, over a
+//! grid of training sizes and dimensionalities, recorded to
+//! `bench_results/BENCH_serving.json`.
 //!
-//! Every (n, m) cell runs [`IndexChoice::Brute`], [`IndexChoice::KdTree`]
-//! and [`IndexChoice::VpTree`], and all imputed values are asserted
-//! **bitwise identical** across the three: an index can only change
+//! Every (n, m) cell runs [`IndexChoice::Brute`] and
+//! [`IndexChoice::VpTree`], and all imputed values are asserted
+//! **bitwise identical** across the two: an index can only change
 //! latency, never an answer. The committed grid is also the derivation
 //! input for the `IndexChoice::Auto` thresholds in
 //! `crates/neighbors/src/index.rs` — change the workload here and those
@@ -88,13 +88,6 @@ fn main() {
     let k = 10;
     let ell = 8;
 
-    // All three concrete index kinds per cell (an explicit --index only
-    // narrows the non-brute side to that one choice).
-    let indexed: Vec<IndexChoice> = match args.index {
-        IndexChoice::Auto | IndexChoice::Brute => vec![IndexChoice::KdTree, IndexChoice::VpTree],
-        choice => vec![choice],
-    };
-
     // `--n` caps the grid; dedup so a low cap doesn't bench the same
     // (n, m) cell several times over.
     let mut capped: Vec<usize> = ns
@@ -143,23 +136,20 @@ fn main() {
                 brute_cell.offline_s, brute_cell.online_s,
             );
             cells.push(brute_cell);
-            for &choice in &indexed {
-                let (index_cell, index_values) = run(choice);
-                // The whole point: the index may only change latency.
-                for (qi, (a, b)) in brute_values.iter().zip(&index_values).enumerate() {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "imputed value diverged at n={n} m={m} query {qi}: brute {a} vs {} {b}",
-                        index_cell.kind
-                    );
-                }
-                eprintln!(
-                    "[serving] n={n} m={m}: {} {:.3}s/{:.3}s (offline/online), bitwise-identical",
-                    index_cell.kind, index_cell.offline_s, index_cell.online_s,
+            let (vp_cell, vp_values) = run(IndexChoice::VpTree);
+            // The whole point: the index may only change latency.
+            for (qi, (a, b)) in brute_values.iter().zip(&vp_values).enumerate() {
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "imputed value diverged at n={n} m={m} query {qi}: brute {a} vs vptree {b}",
                 );
-                cells.push(index_cell);
             }
+            eprintln!(
+                "[serving] n={n} m={m}: vptree {:.3}s/{:.3}s (offline/online), bitwise-identical",
+                vp_cell.offline_s, vp_cell.online_s,
+            );
+            cells.push(vp_cell);
         }
     }
 
@@ -205,7 +195,7 @@ fn main() {
     let path = result.write_named().expect("write BENCH_serving.json");
 
     table.print(&format!(
-        "Serving baseline (brute vs kd/vp; {n_queries} queries per cell; all values bitwise-identical)",
+        "Serving baseline (brute vs vp; {n_queries} queries per cell; all values bitwise-identical)",
     ));
     println!("wrote {}", path.display());
 }

@@ -12,9 +12,8 @@
 //!   declarative [`spec::Spec`] (methods × datasets × missing-rates ×
 //!   threads × index × repeats) through [`runner`], and emits one
 //!   versioned machine-tagged [`result`] envelope. `iim bench diff`
-//!   ([`diff`]) is the regression gate over any two such files (legacy
-//!   pre-envelope files included). Committed spec presets live under
-//!   `crates/bench/specs/`.
+//!   ([`diff`]) is the regression gate over any two such files.
+//!   Committed spec presets live under `crates/bench/specs/`.
 //!
 //! The bespoke executors that measure what a generic spec cannot (HTTP
 //! daemons, persistence, hot swaps) remain their own binaries —

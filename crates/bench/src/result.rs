@@ -49,15 +49,12 @@
 //! are best-effort (running the tools at capture time) and degrade to
 //! `"unknown"` off-repo.
 //!
-//! # Legacy files
+//! # Version check
 //!
-//! [`BenchResult::load`] also reads the five pre-envelope `BENCH_*.json`
-//! shapes (no `schema_version` key) and normalizes them into cells:
-//! strings and the well-known workload coordinates (`n`, `m`, `k`, `ell`,
-//! `threads`, `missing_rate`) become `id` coords, every other number
-//! becomes a single-sample metric, and a file with no cell array at all
-//! (BENCH_registry.json) becomes one synthetic cell. That keeps the whole
-//! committed trajectory diffable without rewriting history.
+//! [`BenchResult::load`] reads schema-v1 envelopes only. A file with any
+//! other `schema_version`, or with none (the pre-envelope `BENCH_*.json`
+//! shapes, none of which remain committed), is a typed
+//! [`LoadError::Shape`].
 
 use crate::json::{Json, JsonError};
 use std::fmt;
@@ -66,10 +63,6 @@ use std::path::{Path, PathBuf};
 
 /// Version stamped into every emitted envelope.
 pub const SCHEMA_VERSION: u64 = 1;
-
-/// Legacy cell keys promoted to `id` coordinates (everything else numeric
-/// in a legacy cell is a metric).
-const LEGACY_COORD_KEYS: [&str; 6] = ["n", "m", "k", "ell", "threads", "missing_rate"];
 
 /// Where a result ran: detected at capture time, recorded verbatim.
 #[derive(Debug, Clone, PartialEq)]
@@ -252,10 +245,9 @@ impl Default for Cell {
 /// A complete result file: envelope metadata plus cells.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchResult {
-    /// Envelope schema version ([`SCHEMA_VERSION`] when emitted by this
-    /// build; `0` marks a normalized legacy file).
+    /// Envelope schema version ([`SCHEMA_VERSION`]).
     pub schema_version: u64,
-    /// Experiment name (the spec's, or the legacy file's stem).
+    /// Experiment name (the spec's or the executor's).
     pub name: String,
     /// Capture-time machine tags.
     pub machine: Machine,
@@ -403,30 +395,24 @@ impl BenchResult {
         Ok(path)
     }
 
-    /// Loads a result file — schema-v1 envelopes and the five legacy
-    /// `BENCH_*.json` shapes alike (see the module docs).
+    /// Loads a schema-v1 result file (see the module docs).
     pub fn load(path: &Path) -> Result<BenchResult, LoadError> {
         let text = std::fs::read_to_string(path).map_err(|e| LoadError::Io {
             path: path.to_path_buf(),
             error: e.to_string(),
         })?;
-        let name_hint = path
-            .file_stem()
-            .and_then(|s| s.to_str())
-            .map(|s| s.strip_prefix("BENCH_").unwrap_or(s).to_string())
-            .unwrap_or_else(|| "unknown".to_string());
-        Self::from_json_text(&text, &name_hint)
+        Self::from_json_text(&text)
     }
 
     /// Parses result-file text (see [`BenchResult::load`]).
-    pub fn from_json_text(text: &str, name_hint: &str) -> Result<BenchResult, LoadError> {
+    pub fn from_json_text(text: &str) -> Result<BenchResult, LoadError> {
         let root = Json::parse(text).map_err(LoadError::Json)?;
         match root.get("schema_version").and_then(Json::as_f64) {
             Some(v) if v == SCHEMA_VERSION as f64 => from_v1(&root),
             Some(v) => Err(LoadError::Shape(format!(
                 "unsupported schema_version {v} (this build reads {SCHEMA_VERSION})"
             ))),
-            None => Ok(from_legacy(&root, name_hint)),
+            None => Err(shape("missing `schema_version` (pre-envelope file)")),
         }
     }
 }
@@ -557,92 +543,6 @@ fn v1_cell(v: &Json) -> Result<Cell, LoadError> {
     Ok(Cell { id, metrics })
 }
 
-/// Normalizes a pre-envelope file (module docs, "Legacy files").
-fn from_legacy(root: &Json, name_hint: &str) -> BenchResult {
-    let pairs = root.as_obj().unwrap_or(&[]);
-    // File-level coordinates inherited by every cell: strings (dataset,
-    // method, … — but not the prose "note"/"workload" descriptions,
-    // which would poison every diff join key) and coord-set numerics.
-    let mut inherited: Vec<(String, Coord)> = Vec::new();
-    for (k, v) in pairs {
-        match v {
-            Json::Str(s) if k != "note" && k != "workload" => {
-                inherited.push((k.clone(), Coord::Str(s.clone())));
-            }
-            Json::Num(n) if LEGACY_COORD_KEYS.contains(&k.as_str()) => {
-                inherited.push((k.clone(), Coord::Num(*n)));
-            }
-            _ => {}
-        }
-    }
-    let raw_cells = root
-        .get("cells")
-        .or_else(|| root.get("methods"))
-        .and_then(Json::as_arr);
-    let cells = match raw_cells {
-        Some(arr) => arr
-            .iter()
-            .filter_map(|v| legacy_cell(v, &inherited))
-            .collect(),
-        // No cell array (BENCH_registry.json): the whole file is one cell.
-        None => {
-            let mut cell = Cell {
-                id: inherited.clone(),
-                metrics: Vec::new(),
-            };
-            for (k, v) in pairs {
-                if let Json::Num(n) = v {
-                    if !LEGACY_COORD_KEYS.contains(&k.as_str()) && k != "available_cores" {
-                        cell.metrics.push((k.clone(), Metric::new(vec![*n])));
-                    }
-                }
-            }
-            vec![cell]
-        }
-    };
-    BenchResult {
-        schema_version: 0,
-        name: name_hint.to_string(),
-        machine: Machine {
-            available_cores: root
-                .get("available_cores")
-                .and_then(Json::as_f64)
-                .unwrap_or(0.0) as usize,
-            cpu_model: "unknown".to_string(),
-            os: "unknown".to_string(),
-            rustc: "unknown".to_string(),
-            git_commit: "unknown".to_string(),
-        },
-        warmup: 0,
-        repeats: 1,
-        spec_toml: None,
-        note: root.get("note").and_then(Json::as_str).map(str::to_string),
-        cells,
-    }
-}
-
-fn legacy_cell(v: &Json, inherited: &[(String, Coord)]) -> Option<Cell> {
-    let pairs = v.as_obj()?;
-    let mut cell = Cell::new();
-    for (k, field) in pairs {
-        match field {
-            Json::Str(s) => cell.id.push((k.clone(), Coord::Str(s.clone()))),
-            Json::Num(n) if LEGACY_COORD_KEYS.contains(&k.as_str()) => {
-                cell.id.push((k.clone(), Coord::Num(*n)));
-            }
-            Json::Num(n) => cell.metrics.push((k.clone(), Metric::new(vec![*n]))),
-            _ => {}
-        }
-    }
-    // Inherit file-level coords the cell doesn't define itself.
-    for (k, coord) in inherited {
-        if !cell.id.iter().any(|(ck, _)| ck == k) {
-            cell.id.push((k.clone(), coord.clone()));
-        }
-    }
-    Some(cell)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -679,7 +579,7 @@ mod tests {
     fn envelope_round_trips() {
         let r = sample_result();
         let text = r.render();
-        let back = BenchResult::from_json_text(&text, "ignored").unwrap();
+        let back = BenchResult::from_json_text(&text).unwrap();
         assert_eq!(back, r);
     }
 
@@ -707,79 +607,15 @@ mod tests {
 
     #[test]
     fn future_schema_versions_are_rejected_with_a_typed_error() {
-        let text = r#"{"schema_version": 99, "name": "x", "cells": []}"#;
-        assert!(matches!(
-            BenchResult::from_json_text(text, "x").unwrap_err(),
-            LoadError::Shape(_)
-        ));
-    }
-
-    #[test]
-    fn legacy_cells_file_normalizes() {
-        // Shape of BENCH_serving.json / BENCH_serve.json / BENCH_learn.json.
-        let text = r#"{
-          "workload": "latent features",
-          "k": 10,
-          "available_cores": 1,
-          "note": "prose",
-          "cells": [
-            {"n": 1000, "m": 4, "index": "kdtree", "offline_s": 0.003, "online_s": 0.002}
-          ]
-        }"#;
-        let r = BenchResult::from_json_text(text, "serving").unwrap();
-        assert_eq!(r.schema_version, 0);
-        assert_eq!(r.name, "serving");
-        assert_eq!(r.machine.available_cores, 1);
-        assert_eq!(r.cells.len(), 1);
-        let cell = &r.cells[0];
-        // The prose "workload" description must NOT become a coordinate —
-        // it would poison the diff join key of every legacy cell.
-        assert_eq!(cell.key(), "index=kdtree k=10 m=4 n=1000");
-        assert_eq!(cell.metric_named("offline_s").unwrap().samples, [0.003]);
-        assert!(
-            cell.metric_named("k").is_none(),
-            "k is a coord, not a metric"
-        );
-    }
-
-    #[test]
-    fn legacy_methods_array_and_file_level_coords() {
-        // Shape of BENCH_parallel.json.
-        let text = r#"{
-          "dataset": "ASF",
-          "n": 1500,
-          "threads": 4,
-          "available_cores": 1,
-          "methods": [
-            {"method": "IIM", "offline_s_1t": 0.65, "offline_s_nt": 0.66}
-          ]
-        }"#;
-        let r = BenchResult::from_json_text(text, "parallel").unwrap();
-        let cell = &r.cells[0];
-        assert_eq!(cell.key(), "dataset=ASF method=IIM n=1500 threads=4");
-        assert_eq!(cell.metric_named("offline_s_1t").unwrap().samples, [0.65]);
-    }
-
-    #[test]
-    fn legacy_flat_file_becomes_one_cell() {
-        // Shape of BENCH_registry.json: scalars only, no cell array.
-        let text = r#"{
-          "workload": "swap churn",
-          "method": "IIM",
-          "n": 10000,
-          "available_cores": 1,
-          "v2_load_us": 11719.5,
-          "under_swap_p50_us": 20.6
-        }"#;
-        let r = BenchResult::from_json_text(text, "registry").unwrap();
-        assert_eq!(r.cells.len(), 1);
-        let cell = &r.cells[0];
-        assert_eq!(cell.key(), "method=IIM n=10000");
-        assert_eq!(cell.metric_named("v2_load_us").unwrap().samples, [11719.5]);
-        assert_eq!(
-            cell.metric_named("under_swap_p50_us").unwrap().samples,
-            [20.6]
-        );
-        assert!(cell.metric_named("available_cores").is_none());
+        for text in [
+            r#"{"schema_version": 99, "name": "x", "cells": []}"#,
+            // No version at all: a pre-envelope file.
+            r#"{"k": 10, "cells": [{"n": 1000, "online_s": 0.002}]}"#,
+        ] {
+            assert!(matches!(
+                BenchResult::from_json_text(text).unwrap_err(),
+                LoadError::Shape(_)
+            ));
+        }
     }
 }

@@ -213,7 +213,7 @@ mod tests {
             assert!(cell.metric_named("rmse").unwrap().samples[0].is_finite());
         }
         // The envelope round-trips through its own JSON.
-        let back = BenchResult::from_json_text(&result.render(), "ignored").expect("round trip");
+        let back = BenchResult::from_json_text(&result.render()).expect("round trip");
         assert_eq!(back, result);
     }
 }

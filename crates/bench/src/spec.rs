@@ -120,10 +120,7 @@ impl fmt::Display for SpecError {
                 write!(f, "unknown dataset `{d}` (known: {})", names.join(", "))
             }
             SpecError::UnknownIndex(i) => {
-                write!(
-                    f,
-                    "unknown index `{i}` (known: auto, brute, kdtree, vptree)"
-                )
+                write!(f, "unknown index `{i}` (known: auto, brute, vptree)")
             }
             SpecError::Empty(field) => write!(f, "spec field `{field}` must not be empty/zero"),
         }

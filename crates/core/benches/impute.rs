@@ -1,8 +1,8 @@
 //! Criterion micro-benchmarks for the online imputation hot path:
-//! `impute_one` through the stored index (brute vs KD-tree) and the
+//! `impute_one` through the stored index (brute vs VP-tree) and the
 //! allocation-free candidate combination.
 //!
-//! The brute/kdtree pair is asserted bitwise-identical on the benched
+//! The brute/vptree pair is asserted bitwise-identical on the benched
 //! queries before timing — the index can only change latency, never a
 //! value.
 
@@ -35,7 +35,7 @@ fn bench_impute_one(c: &mut Criterion) {
         ..IimConfig::default()
     };
     let brute = IimModel::learn_from_parts(fm.clone(), &ys, &cfg(IndexChoice::Brute));
-    let kd = IimModel::learn_from_parts(fm, &ys, &cfg(IndexChoice::KdTree));
+    let vp = IimModel::learn_from_parts(fm, &ys, &cfg(IndexChoice::VpTree));
     let mut rng = StdRng::seed_from_u64(2);
     let queries: Vec<Vec<f64>> = (0..64)
         .map(|_| (0..m).map(|_| rng.gen_range(0.0..100.0)).collect())
@@ -43,13 +43,13 @@ fn bench_impute_one(c: &mut Criterion) {
     for q in &queries {
         assert_eq!(
             brute.impute(q).to_bits(),
-            kd.impute(q).to_bits(),
+            vp.impute(q).to_bits(),
             "index variants must serve identical values"
         );
     }
 
     let mut group = c.benchmark_group("impute_one_n20k_m4_k10");
-    for (name, model) in [("brute", &brute), ("kdtree", &kd)] {
+    for (name, model) in [("brute", &brute), ("vptree", &vp)] {
         group.bench_with_input(BenchmarkId::from_parameter(name), model, |b, model| {
             let mut scratch = iim_core::ImputeScratch::new();
             b.iter(|| {

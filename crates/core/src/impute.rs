@@ -342,7 +342,6 @@ mod tests {
         let mut scratch = ImputeScratch::new();
         for choice in [
             iim_neighbors::IndexChoice::Brute,
-            iim_neighbors::IndexChoice::KdTree,
             iim_neighbors::IndexChoice::VpTree,
         ] {
             let index = NeighborIndex::build(fm.clone(), choice);

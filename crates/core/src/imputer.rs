@@ -241,7 +241,7 @@ impl IimModel {
         self.index.len()
     }
 
-    /// The stored neighbor-search index (`"brute"` or `"kdtree"` via
+    /// The stored neighbor-search index (`"brute"` or `"vptree"` via
     /// [`NeighborIndex::kind`]).
     pub fn index(&self) -> &NeighborIndex {
         &self.index
@@ -329,7 +329,7 @@ impl IimModel {
     ///    neighbors);
     /// 4. appends `x` to the serving index ([`NeighborIndex::push`]:
     ///    exact for brute, pending-buffer + deterministic periodic
-    ///    rebuild for the KD-tree).
+    ///    rebuild for the VP-tree).
     ///
     /// The result is a pure function of the fitted state and the absorb
     /// sequence — bit-stable across index variants and worker counts —
@@ -597,21 +597,16 @@ mod tests {
             .unwrap()
         };
         let brute = build(crate::IndexChoice::Brute);
-        let kd = build(crate::IndexChoice::KdTree);
         let vp = build(crate::IndexChoice::VpTree);
         assert_eq!(brute.index().kind(), "brute");
-        assert_eq!(kd.index().kind(), "kdtree");
         assert_eq!(vp.index().kind(), "vptree");
-        assert_eq!(brute.chosen_ell(), kd.chosen_ell());
         assert_eq!(brute.chosen_ell(), vp.chosen_ell());
         let mut scratch = crate::ImputeScratch::new();
         for q in [0.0, 2.5, 5.0, 7.7] {
             let a = brute.impute(&[q]);
-            let b = kd.impute(&[q]);
-            assert_eq!(a.to_bits(), b.to_bits(), "q={q}");
             assert_eq!(vp.impute(&[q]).to_bits(), a.to_bits(), "q={q}");
             // Scratch-managed serving is the same function.
-            assert_eq!(kd.impute_with(&[q], &mut scratch).to_bits(), a.to_bits());
+            assert_eq!(vp.impute_with(&[q], &mut scratch).to_bits(), a.to_bits());
         }
         // Tiny n: auto stays brute.
         assert_eq!(build(crate::IndexChoice::Auto).index().kind(), "brute");
@@ -632,18 +627,12 @@ mod tests {
             model
         };
         let brute = build(crate::IndexChoice::Brute);
-        let kd = build(crate::IndexChoice::KdTree);
         let vp = build(crate::IndexChoice::VpTree);
         assert_eq!(brute.n_train(), 10);
         assert_eq!(brute.absorbed(), 2);
         assert_eq!(brute.ys().len(), 10);
         assert_eq!(brute.chosen_ell().len(), 10);
         for q in [0.0, 2.5, 4.8, 5.0, 9.1] {
-            assert_eq!(
-                brute.impute(&[q]).to_bits(),
-                kd.impute(&[q]).to_bits(),
-                "q={q}"
-            );
             assert_eq!(
                 brute.impute(&[q]).to_bits(),
                 vp.impute(&[q]).to_bits(),

@@ -1,5 +1,5 @@
 //! Criterion micro-benchmarks for the neighbor-search substrate: the
-//! brute scan vs the owned KD-tree and VP-tree behind [`NeighborIndex`],
+//! brute scan vs the owned VP-tree behind [`NeighborIndex`],
 //! the blocked distance kernels, and the flat-buffer neighbor-orders
 //! build the offline phase runs on.
 //!
@@ -48,7 +48,6 @@ fn bench_knn_group(c: &mut Criterion, group_name: &str, cells: &[(usize, usize, 
     for (n, m, fm) in cells {
         let (n, m) = (*n, *m);
         let brute = NeighborIndex::build(fm.clone(), IndexChoice::Brute);
-        let kd = NeighborIndex::build(fm.clone(), IndexChoice::KdTree);
         let vp = NeighborIndex::build(fm.clone(), IndexChoice::VpTree);
         let mut rng = StdRng::seed_from_u64(13);
         let queries: Vec<Vec<f64>> = (0..64)
@@ -56,15 +55,12 @@ fn bench_knn_group(c: &mut Criterion, group_name: &str, cells: &[(usize, usize, 
             .collect();
         // Bitwise parity on the benched workload before timing it.
         for q in &queries {
-            let a = brute.knn(q, 10);
-            for other in [kd.knn(q, 10), vp.knn(q, 10)] {
-                for (x, y) in a.iter().zip(&other) {
-                    assert_eq!(x.pos, y.pos);
-                    assert_eq!(x.dist.to_bits(), y.dist.to_bits());
-                }
+            for (x, y) in brute.knn(q, 10).iter().zip(&vp.knn(q, 10)) {
+                assert_eq!(x.pos, y.pos);
+                assert_eq!(x.dist.to_bits(), y.dist.to_bits());
             }
         }
-        for (name, index) in [("brute", &brute), ("kdtree", &kd), ("vptree", &vp)] {
+        for (name, index) in [("brute", &brute), ("vptree", &vp)] {
             group.bench_with_input(
                 BenchmarkId::new(name, format!("n{n}_m{m}")),
                 index,
@@ -102,7 +98,7 @@ fn bench_index_knn(c: &mut Criterion) {
 
 fn bench_dist_kernels(c: &mut Criterion) {
     // One query against a contiguous 1024-row block — the shape the brute
-    // scan and kd/vp leaf scans feed. `scalar` calls sq_dist_f per row;
+    // scan and vp leaf scans feed. `scalar` calls sq_dist_f per row;
     // `batched` hands the whole block to sq_dist_many. Both produce
     // bit-identical outputs (asserted); the delta is pure kernel/codegen.
     let mut group = c.benchmark_group("dist_kernels_1024rows");
@@ -139,10 +135,10 @@ fn bench_dist_kernels(c: &mut Criterion) {
 
 fn bench_orders_build(c: &mut Criterion) {
     // The offline precomputation: the flat-buffer build through the index
-    // (auto = KD-tree at this size) vs the forced brute selection.
+    // (auto = VP-tree at this size) vs the forced brute selection.
     let fm = random_matrix(4096, 4, 3);
     let mut group = c.benchmark_group("orders_build_n4096_m4_depth32");
-    group.bench_function("auto_kdtree", |b| {
+    group.bench_function("auto_vptree", |b| {
         b.iter(|| black_box(NeighborOrders::build(&fm, 32)));
     });
     group.bench_function("forced_brute", |b| {

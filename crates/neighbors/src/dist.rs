@@ -14,7 +14,7 @@
 //! [`sq_dist_many`] (one query against a contiguous row-major block)
 //! both call the same kernel per row, so a batched scan returns
 //! **bit-identical** values to scalar calls — property-tested in
-//! `tests/index_parity.rs`. Index variants (brute / kd / vp) may batch or
+//! `tests/index_parity.rs`. Index variants (brute / vp) may batch or
 //! not batch freely without perturbing any tie-break.
 
 /// Blocked sum of squared differences — the one committed summation order
@@ -59,7 +59,7 @@ pub fn sq_dist_f(a: &[f64], b: &[f64]) -> f64 {
 /// **bitwise equal** to `sq_dist_f(query, row)` because both run the same
 /// per-row kernel, but scanning a contiguous block keeps the loads
 /// streaming and lets the whole scan autovectorize — the shape the brute
-/// scan and the kd/vp leaf scans feed.
+/// scan and the vp leaf scans feed.
 #[inline]
 pub fn sq_dist_many(query: &[f64], block: &[f64], out: &mut [f64]) {
     let m = query.len();

@@ -1,4 +1,4 @@
-//! The bounded top-k heap shared by the brute scan and the KD-tree.
+//! The bounded top-k heap shared by the brute scan and the VP-tree.
 //!
 //! Both search paths select the k smallest `(squared distance, position)`
 //! pairs with the *same* comparison, so whichever path runs, the selected

@@ -5,88 +5,69 @@
 //! complexity analysis assumes the brute O(n·m) scan. This module is the
 //! workspace's answer for serving at scale: one owned, `Send + Sync`
 //! value that a fitted model stores at fit time and queries online,
-//! choosing between the exact scan, a KD-tree, and a VP-tree.
+//! either the exact scan or a VP-tree.
 //!
 //! # Determinism contract
 //!
-//! Whichever variant serves a query, the result is **bit-identical**: all
+//! Whichever variant serves a query, the result is **bit-identical**: both
 //! paths score candidates with the same [`sq_dist_f`](crate::dist) kernel
 //! (batched leaf/block scans return bitwise the scalar values) and select
 //! the k best through the same `(squared distance, position)` bounded
 //! heap, so ties — including duplicate points and rounding-induced
 //! distance collisions — resolve identically. Auto-selection can therefore
 //! never change an imputation, only its latency. This is property-tested
-//! (duplicates, `k > n`, fitted-model serving, m ∈ 1..16) in the
-//! neighbors crate and in `tests/index_parity.rs`.
+//! (duplicates, `k > n`, streaming pushes, fitted-model serving,
+//! m ∈ 1..16) in the neighbors crate and in `tests/index_parity.rs`.
 //!
 //! # Auto-selection heuristic
 //!
-//! [`IndexChoice::Auto`] picks by `(n, m)` using thresholds derived from
-//! the committed `bench_results/BENCH_serving.json` grid — k=10 serving
-//! over correlated (two-factor latent) candidates at
-//! n ∈ {1k, 10k, 50k} × m ∈ {1, 4, 8, 12}, all three variants per cell,
-//! re-run by `cargo run -p iim-bench --release --bin serving` whenever the
-//! kernels or trees change. Headline cells from the committed grid
-//! (µs/query, this box, 1 core):
+//! [`IndexChoice::Auto`] picks by `(n, m)`, checked against the committed
+//! `bench_results/BENCH_serving.json` grid — k=10 serving over correlated
+//! (two-factor latent) candidates at n ∈ {1k, 10k, 50k} × m ∈ {1, 4, 8,
+//! 12}, brute and VP-tree per cell, re-run by
+//! `cargo run -p iim-bench --release --bin serving` whenever the kernels
+//! or the tree change. Headline cells from the committed grid (µs/query,
+//! single-threaded query loop on a 2-vCPU Intel Xeon):
 //!
-//! | n, m       | brute | kdtree | vptree |
-//! |------------|-------|--------|--------|
-//! | 1k,  4     | 5.7   | **1.4**| 1.9    |
-//! | 10k, 8     | 53.1  | 4.3    | **3.6**|
-//! | 50k, 8     | 300.8 | 13.7   | **9.3**|
-//! | 50k, 12    | 479.3 | 24.6   | **13.7**|
+//! | n, m       | brute | vptree |
+//! |------------|-------|--------|
+//! | 1k,  4     | 12.8  | 5.0    |
+//! | 10k, 8     | 99.0  | 5.8    |
+//! | 50k, 8     | 516.7 | 14.4   |
+//! | 50k, 12    | 614.2 | 19.0   |
 //!
-//! The derived rule, in order:
+//! The tree wins every measured cell from n = 1k up, at every m.
 //!
-//! * Below [`TREE_MIN_POINTS`] points (or at m = 0) every structure loses
-//!   to the batched brute scan: the whole matrix fits in cache, the SIMD
-//!   kernel streams it faster than any traversal branches, and streaming
-//!   appends would keep paying tree rebuilds that never amortize.
-//! * At m ≤ [`KDTREE_LOW_DIM`] the KD-tree wins every measured cell:
-//!   axis-aligned splits prune hardest when each coordinate carries a
-//!   large share of the normalized distance.
-//! * For [`KDTREE_LOW_DIM`] < m ≤ [`TREE_MAX_DIM`] the two trees cross
-//!   over on *n*: each kd split plane bounds only `diff²/|F|` of the
-//!   distance, so kd pruning weakens as m grows, while the VP-tree's
-//!   triangle-inequality pruning bounds the whole metric but pays more
-//!   per visited node. Measured: kd ahead at n = 1k (m = 8: 1.8 vs 2.0;
-//!   m = 12: 2.3 vs 3.8), vp ahead from n = 10k up (rows above). The
-//!   crossover sits between; Auto switches to the VP-tree at
-//!   [`VPTREE_MIN_POINTS`].
-//! * Past [`TREE_MAX_DIM`] no cell was measured; extrapolating the kd
-//!   decay and the iid worst case (where *no exact index* prunes — every
-//!   metric ball contains almost everything), Auto stays with the scan's
-//!   perfect locality.
+//! The rule is two-way:
+//!
+//! * At m = 0, below [`TREE_MIN_POINTS`] points, or past
+//!   [`TREE_MAX_DIM`] features, the batched brute scan serves. Small
+//!   matrices fit in cache and the SIMD kernel streams them faster than
+//!   any traversal branches (and streaming appends would keep paying tree
+//!   rebuilds that never amortize); past the dimensionality cap no cell
+//!   was measured, and on iid high-dimensional data no exact index prunes
+//!   — every metric ball contains almost everything.
+//! * Otherwise the VP-tree serves. Its triangle-inequality pruning bounds
+//!   the whole Formula-1 distance, not one coordinate of it, so it keeps
+//!   paying at every measured dimensionality.
 //!
 //! The grid's correlated workload is deliberate: real relations have low
 //! intrinsic dimension (that's why imputation works at all), and that is
 //! what metric pruning exploits. On truly iid high-dim data trees win
-//! nothing — override with [`IndexChoice::Brute`] there, or with any
-//! other variant when profiling says otherwise; results are identical
-//! either way.
+//! nothing — override with [`IndexChoice::Brute`] there, or with
+//! [`IndexChoice::VpTree`] when profiling says otherwise; results are
+//! identical either way.
 
 use crate::brute::{FeatureMatrix, Neighbor};
 use crate::heap::KnnScratch;
-use crate::kdtree::KdTree;
 use crate::vptree::VpTree;
 use std::cell::Cell;
 
-/// Minimum candidate count for [`IndexChoice::Auto`] to pick any tree;
-/// below this the batched brute scan wins (see the module docs for the
-/// bench-grid derivation).
+/// Minimum candidate count for [`IndexChoice::Auto`] to pick the tree;
+/// below this the batched brute scan wins (see the module docs).
 pub const TREE_MIN_POINTS: usize = 512;
 
-/// Highest dimensionality at which the KD-tree won every measured cell;
-/// above it the kd/vp choice crosses over on `n`.
-pub const KDTREE_LOW_DIM: usize = 4;
-
-/// Candidate count at which [`IndexChoice::Auto`] switches from the
-/// KD-tree to the VP-tree for dimensionalities in
-/// ([`KDTREE_LOW_DIM`], [`TREE_MAX_DIM`]] — between the measured kd-ahead
-/// n = 1k cells and the vp-ahead n = 10k cells.
-pub const VPTREE_MIN_POINTS: usize = 8192;
-
-/// Maximum feature dimensionality for [`IndexChoice::Auto`] to pick a
+/// Maximum feature dimensionality for [`IndexChoice::Auto`] to pick the
 /// tree at all; past this (unmeasured, curse-of-dimensionality regime)
 /// the batched brute scan is the safe default.
 pub const TREE_MAX_DIM: usize = 16;
@@ -99,20 +80,17 @@ pub enum IndexChoice {
     Auto,
     /// Always the exact linear scan.
     Brute,
-    /// Always the KD-tree.
-    KdTree,
     /// Always the VP-tree.
     VpTree,
 }
 
 impl IndexChoice {
-    /// Parses a CLI-style name: `auto`, `brute`, `kdtree`, or `vptree`
+    /// Parses a CLI-style name: `auto`, `brute`, or `vptree`
     /// (case-insensitive).
     pub fn parse(s: &str) -> Option<Self> {
         match s.to_ascii_lowercase().as_str() {
             "auto" => Some(Self::Auto),
             "brute" => Some(Self::Brute),
-            "kdtree" | "kd-tree" | "kd" => Some(Self::KdTree),
             "vptree" | "vp-tree" | "vp" => Some(Self::VpTree),
             _ => None,
         }
@@ -123,7 +101,6 @@ impl IndexChoice {
         match self {
             Self::Auto => "auto",
             Self::Brute => "brute",
-            Self::KdTree => "kdtree",
             Self::VpTree => "vptree",
         }
     }
@@ -140,24 +117,14 @@ pub fn rebuild_threshold(indexed_len: usize) -> usize {
 }
 
 /// The concrete index [`IndexChoice::Auto`] selects for `n` points of
-/// dimensionality `m` (never returns `Auto`; see the module docs for the
-/// derivation from the committed bench grid).
+/// dimensionality `m` (never returns `Auto`; see the module docs).
 #[inline]
 pub fn auto_choice(n: usize, m: usize) -> IndexChoice {
     if m == 0 || m > TREE_MAX_DIM || n < TREE_MIN_POINTS {
-        return IndexChoice::Brute;
+        IndexChoice::Brute
+    } else {
+        IndexChoice::VpTree
     }
-    if m > KDTREE_LOW_DIM && n >= VPTREE_MIN_POINTS {
-        return IndexChoice::VpTree;
-    }
-    IndexChoice::KdTree
-}
-
-/// Whether [`IndexChoice::Auto`] selects the KD-tree for `n` points of
-/// dimensionality `m` (see [`auto_choice`] for the full three-way rule).
-#[inline]
-pub fn auto_prefers_kdtree(n: usize, m: usize) -> bool {
-    auto_choice(n, m) == IndexChoice::KdTree
 }
 
 /// An owned, storable nearest-neighbor index over a gathered
@@ -170,8 +137,6 @@ pub fn auto_prefers_kdtree(n: usize, m: usize) -> bool {
 pub enum NeighborIndex {
     /// Exact linear scan over the matrix.
     Brute(FeatureMatrix),
-    /// Balanced KD-tree owning the matrix.
-    KdTree(KdTree),
     /// Deterministic vantage-point tree owning the matrix.
     VpTree(VpTree),
 }
@@ -184,7 +149,6 @@ impl NeighborIndex {
             c => c,
         };
         match choice {
-            IndexChoice::KdTree => Self::KdTree(KdTree::build(points)),
             IndexChoice::VpTree => Self::VpTree(VpTree::build(points)),
             _ => Self::Brute(points),
         }
@@ -199,22 +163,20 @@ impl NeighborIndex {
     pub fn matrix(&self) -> &FeatureMatrix {
         match self {
             Self::Brute(fm) => fm,
-            Self::KdTree(t) => t.points(),
             Self::VpTree(t) => t.points(),
         }
     }
 
-    /// `"brute"`, `"kdtree"`, or `"vptree"` — which variant was built.
+    /// `"brute"` or `"vptree"` — which variant was built.
     pub fn kind(&self) -> &'static str {
         match self {
             Self::Brute(_) => "brute",
-            Self::KdTree(_) => "kdtree",
             Self::VpTree(_) => "vptree",
         }
     }
 
     /// Appends one point (streaming ingestion). Brute appends are exact by
-    /// construction; the trees buffer the point and queries union the
+    /// construction; the tree buffers the point and queries union the
     /// structure with a linear scan of the buffer until
     /// [`rebuild_threshold`] pending points accumulate, at which point the
     /// structure is rebuilt over everything. The policy is a pure function
@@ -223,12 +185,6 @@ impl NeighborIndex {
     pub fn push(&mut self, point: &[f64], row_id: u32) {
         match self {
             Self::Brute(fm) => fm.push(point, row_id),
-            Self::KdTree(t) => {
-                t.append(point, row_id);
-                if t.pending_len() >= rebuild_threshold(t.indexed_len()) {
-                    t.rebuild();
-                }
-            }
             Self::VpTree(t) => {
                 t.append(point, row_id);
                 if t.pending_len() >= rebuild_threshold(t.indexed_len()) {
@@ -276,7 +232,6 @@ impl NeighborIndex {
     ) {
         match self {
             Self::Brute(fm) => fm.knn_with(query, k, scratch, out),
-            Self::KdTree(t) => t.knn_with(query, k, scratch, out),
             Self::VpTree(t) => t.knn_with(query, k, scratch, out),
         }
     }
@@ -320,21 +275,13 @@ mod tests {
 
     #[test]
     fn auto_selection_heuristic() {
-        assert!(!auto_prefers_kdtree(100, 2), "small n stays brute");
-        assert!(auto_prefers_kdtree(TREE_MIN_POINTS, 2));
-        assert!(
-            auto_prefers_kdtree(100_000, KDTREE_LOW_DIM),
-            "kd wins every measured low-dim cell"
-        );
-        assert!(
-            auto_prefers_kdtree(1000, 8),
-            "kd stays ahead of vp at moderate n even past the low-dim band"
-        );
         assert_eq!(
-            auto_choice(VPTREE_MIN_POINTS, KDTREE_LOW_DIM + 1),
-            IndexChoice::VpTree,
-            "at scale past the low-dim band, metric pruning takes over"
+            auto_choice(100, 2),
+            IndexChoice::Brute,
+            "small n stays brute"
         );
+        assert_eq!(auto_choice(TREE_MIN_POINTS, 2), IndexChoice::VpTree);
+        assert_eq!(auto_choice(1000, 4), IndexChoice::VpTree);
         assert_eq!(auto_choice(100_000, 8), IndexChoice::VpTree);
         assert_eq!(auto_choice(100_000, TREE_MAX_DIM), IndexChoice::VpTree);
         assert_eq!(
@@ -352,22 +299,14 @@ mod tests {
         let small = NeighborIndex::auto(random_matrix(64, 2, 1));
         assert_eq!(small.kind(), "brute");
         let large = NeighborIndex::auto(random_matrix(600, 2, 2));
-        assert_eq!(large.kind(), "kdtree");
-        let wide = NeighborIndex::auto(random_matrix(8192, 10, 3));
-        assert_eq!(wide.kind(), "vptree");
+        assert_eq!(large.kind(), "vptree");
     }
 
     #[test]
     fn choice_parse_round_trips() {
-        for c in [
-            IndexChoice::Auto,
-            IndexChoice::Brute,
-            IndexChoice::KdTree,
-            IndexChoice::VpTree,
-        ] {
+        for c in [IndexChoice::Auto, IndexChoice::Brute, IndexChoice::VpTree] {
             assert_eq!(IndexChoice::parse(c.name()), Some(c));
         }
-        assert_eq!(IndexChoice::parse("KD-Tree"), Some(IndexChoice::KdTree));
         assert_eq!(IndexChoice::parse("VP-Tree"), Some(IndexChoice::VpTree));
         assert_eq!(IndexChoice::parse("vp"), Some(IndexChoice::VpTree));
         assert_eq!(IndexChoice::parse("annoy"), None);
@@ -378,25 +317,20 @@ mod tests {
     fn variants_agree_bitwise_including_k_above_n() {
         let fm = random_matrix(137, 3, 9);
         let brute = NeighborIndex::build(fm.clone(), IndexChoice::Brute);
-        let kd = NeighborIndex::build(fm.clone(), IndexChoice::KdTree);
         let vp = NeighborIndex::build(fm.clone(), IndexChoice::VpTree);
         assert_eq!(brute.kind(), "brute");
-        assert_eq!(kd.kind(), "kdtree");
         assert_eq!(vp.kind(), "vptree");
-        assert_eq!(brute.len(), kd.len());
         assert_eq!(brute.len(), vp.len());
         let mut rng = StdRng::seed_from_u64(3);
         for _ in 0..30 {
             let q: Vec<f64> = (0..3).map(|_| rng.gen_range(-12.0..12.0)).collect();
             for k in [1usize, 5, 137, 500] {
                 let a = brute.knn(&q, k);
-                for other in [&kd, &vp] {
-                    let b = other.knn(&q, k);
-                    assert_eq!(a.len(), b.len());
-                    for (x, y) in a.iter().zip(&b) {
-                        assert_eq!(x.pos, y.pos);
-                        assert_eq!(x.dist.to_bits(), y.dist.to_bits());
-                    }
+                let b = vp.knn(&q, k);
+                assert_eq!(a.len(), b.len());
+                for (x, y) in a.iter().zip(&b) {
+                    assert_eq!(x.pos, y.pos);
+                    assert_eq!(x.dist.to_bits(), y.dist.to_bits());
                 }
             }
         }
@@ -426,26 +360,21 @@ mod tests {
         // at least one rebuild, and every intermediate state must answer
         // bit-identically to the brute scan over the same grown set.
         let fm = random_matrix(64, 2, 77);
-        let mut kd = NeighborIndex::build(fm.clone(), IndexChoice::KdTree);
         let mut vp = NeighborIndex::build(fm.clone(), IndexChoice::VpTree);
         let mut brute = NeighborIndex::build(fm, IndexChoice::Brute);
         let mut rng = StdRng::seed_from_u64(78);
         for i in 0..100u32 {
             let p: Vec<f64> = (0..2).map(|_| rng.gen_range(-10.0..10.0)).collect();
-            kd.push(&p, 64 + i);
             vp.push(&p, 64 + i);
             brute.push(&p, 64 + i);
-            assert_eq!(kd.len(), brute.len());
             assert_eq!(vp.len(), brute.len());
             let q: Vec<f64> = (0..2).map(|_| rng.gen_range(-12.0..12.0)).collect();
             let a = brute.knn(&q, 7);
-            for tree in [&kd, &vp] {
-                let b = tree.knn(&q, 7);
-                assert_eq!(a.len(), b.len());
-                for (x, y) in a.iter().zip(&b) {
-                    assert_eq!(x.pos, y.pos, "push {i}");
-                    assert_eq!(x.dist.to_bits(), y.dist.to_bits(), "push {i}");
-                }
+            let b = vp.knn(&q, 7);
+            assert_eq!(a.len(), b.len());
+            for (x, y) in a.iter().zip(&b) {
+                assert_eq!(x.pos, y.pos, "push {i}");
+                assert_eq!(x.dist.to_bits(), y.dist.to_bits(), "push {i}");
             }
         }
         assert_eq!(rebuild_threshold(0), 32);
@@ -454,7 +383,7 @@ mod tests {
 
     #[test]
     fn empty_matrix_serves_empty_answers() {
-        for choice in [IndexChoice::Brute, IndexChoice::KdTree, IndexChoice::VpTree] {
+        for choice in [IndexChoice::Brute, IndexChoice::VpTree] {
             let idx = NeighborIndex::build(FeatureMatrix::from_dense(2, vec![], vec![]), choice);
             assert!(idx.is_empty());
             assert!(idx.knn(&[0.0, 0.0], 4).is_empty());

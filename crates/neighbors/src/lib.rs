@@ -10,11 +10,11 @@
 //! * [`brute`] — exact top-k scans; the shape the paper's complexity
 //!   analysis assumes ("advanced indexing ... is not the focus of this
 //!   study").
-//! * [`kdtree`] — an owned, storable KD-tree for the large-`n`
-//!   experiments (SN has 100k tuples) and for online serving.
-//! * [`vptree`] — a deterministic vantage-point tree whose metric-space
-//!   pruning keeps paying past the KD-tree's dimensionality cliff.
-//! * [`index`] — [`NeighborIndex`]: the brute/kd/vp selection every hot
+//! * [`vptree`] — an owned, storable vantage-point tree for the large-`n`
+//!   experiments (SN has 100k tuples) and for online serving; its
+//!   metric-space pruning bounds the whole distance at every
+//!   dimensionality.
+//! * [`index`] — [`NeighborIndex`]: the brute/vp selection every hot
 //!   path (IIM serving, the kNN-family baselines, order construction)
 //!   runs on, with bit-identical results across variants.
 //! * [`orders`] — fully sorted per-tuple neighbor orders, precomputed once
@@ -25,14 +25,12 @@ pub mod brute;
 pub mod dist;
 pub mod heap;
 pub mod index;
-pub mod kdtree;
 pub mod orders;
 pub mod vptree;
 
 pub use brute::{knn, knn_into, Neighbor};
 pub use dist::{euclidean_f, euclidean_full, sq_dist_f, sq_dist_many, sq_dist_on};
 pub use heap::KnnScratch;
-pub use index::{auto_choice, auto_prefers_kdtree, rebuild_threshold, IndexChoice, NeighborIndex};
-pub use kdtree::KdTree;
+pub use index::{auto_choice, rebuild_threshold, IndexChoice, NeighborIndex};
 pub use orders::NeighborOrders;
 pub use vptree::VpTree;

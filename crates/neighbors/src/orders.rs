@@ -11,9 +11,9 @@
 //! Construction writes each tuple's prefix straight into one flat
 //! `n × depth` buffer ([`iim_exec::Pool::parallel_fill_rows`]) — no
 //! per-row `Vec`s, no concatenation — and the general path routes through
-//! the same KD-tree the serving index uses when
-//! [`auto_prefers_kdtree`](crate::auto_prefers_kdtree) says so,
-//! replacing the O(n²) all-pairs scan with n · O(log n + depth) queries.
+//! the same VP-tree the serving index uses when
+//! [`auto_choice`](crate::auto_choice) picks it, replacing the O(n²)
+//! all-pairs scan with one pruned tree query per point.
 //! Every path (line sweep, brute selection, tree queries; serial or
 //! parallel) produces bitwise-identical orders.
 
@@ -21,7 +21,6 @@ use crate::brute::FeatureMatrix;
 use crate::dist::sq_dist_many;
 use crate::heap::KnnScratch;
 use crate::index::{auto_choice, IndexChoice, NeighborIndex};
-use crate::kdtree::TreeNodes;
 use crate::vptree::VpNodes;
 use crate::Neighbor;
 use iim_exec::Pool;
@@ -43,7 +42,7 @@ impl NeighborOrders {
     ///
     /// Single-feature matrices use an O(n log n + n·depth) sorted-line
     /// sweep (the SN dataset is 100k tuples on one feature); otherwise a
-    /// per-point top-k selection runs — through a KD-tree when the
+    /// per-point top-k selection runs — through a VP-tree when the
     /// auto-selection heuristic picks one, else as a brute scan.
     pub fn build(fm: &FeatureMatrix, depth: usize) -> Self {
         Self::build_on(&iim_exec::global(), fm, depth)
@@ -70,10 +69,6 @@ impl NeighborOrders {
             fill_line(pool, fm, depth, &mut order);
         } else {
             match auto_choice(n, fm.n_features()) {
-                IndexChoice::KdTree => {
-                    let tree = TreeNodes::build(fm);
-                    fill_tree(pool, fm, &tree, depth, &mut order);
-                }
                 IndexChoice::VpTree => {
                     let tree = VpNodes::build(fm);
                     fill_vp(pool, fm, &tree, depth, &mut order);
@@ -85,7 +80,7 @@ impl NeighborOrders {
     }
 
     /// Builds orders *through an existing serving index*, so the offline
-    /// phase reuses the KD-tree the fitted model will store instead of
+    /// phase reuses the VP-tree the fitted model will store instead of
     /// scanning all pairs (or building a second tree).
     ///
     /// Output is bitwise-identical to [`NeighborOrders::build_on`] over
@@ -108,9 +103,6 @@ impl NeighborOrders {
         } else {
             match index {
                 NeighborIndex::Brute(fm) => fill_brute(pool, fm, depth, &mut order),
-                NeighborIndex::KdTree(tree) => {
-                    fill_tree(pool, tree.points(), tree.nodes(), depth, &mut order)
-                }
                 NeighborIndex::VpTree(tree) => {
                     fill_vp(pool, tree.points(), tree.nodes(), depth, &mut order)
                 }
@@ -221,21 +213,6 @@ fn fill_brute(pool: &Pool, fm: &FeatureMatrix, depth: usize, order: &mut [u32]) 
     });
 }
 
-/// Index path: per-point KD-tree query written straight into the row.
-fn fill_tree(pool: &Pool, fm: &FeatureMatrix, tree: &TreeNodes, depth: usize, order: &mut [u32]) {
-    thread_local! {
-        static SCRATCH: Cell<(KnnScratch, Vec<Neighbor>)> = Cell::new(Default::default());
-    }
-    pool.parallel_fill_rows(depth, order, |i, row| {
-        iim_exec::with_tls_scratch(&SCRATCH, |(knn, out)| {
-            tree.knn_with(fm, fm.point(i), depth, knn, out);
-            for (slot, nb) in row.iter_mut().zip(out.iter()) {
-                *slot = nb.pos;
-            }
-        });
-    });
-}
-
 /// Index path: per-point VP-tree query written straight into the row.
 fn fill_vp(pool: &Pool, fm: &FeatureMatrix, tree: &VpNodes, depth: usize, order: &mut [u32]) {
     thread_local! {
@@ -337,7 +314,7 @@ mod tests {
         for f in [1usize, 3] {
             let fm = random_matrix(80, f, 23);
             let reference = NeighborOrders::build_on(&Pool::serial(), &fm, 9);
-            for choice in [IndexChoice::Brute, IndexChoice::KdTree, IndexChoice::VpTree] {
+            for choice in [IndexChoice::Brute, IndexChoice::VpTree] {
                 let index = NeighborIndex::build(fm.clone(), choice);
                 let via = NeighborOrders::build_from_index(&Pool::serial(), &index, 9);
                 for i in 0..80 {

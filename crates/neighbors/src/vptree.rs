@@ -1,6 +1,6 @@
-//! Deterministic vantage-point tree for the higher-dimensional workloads.
+//! Deterministic vantage-point tree: the workspace's one exact tree index.
 //!
-//! KD-tree pruning weakens as dimensionality grows because each split
+//! Axis-aligned pruning weakens as dimensionality grows because each split
 //! plane bounds only `diff²/|F|` of the normalized distance — one axis of
 //! many. A VP-tree prunes in the *metric* itself: every internal node
 //! holds a vantage point and the median Formula-1 radius `mu` of its
@@ -8,7 +8,7 @@
 //! coordinate of it. On the correlated workloads the paper targets (where
 //! data hugs a low-dimensional manifold inside a high-dimensional box)
 //! metric balls adapt to the manifold while axis-aligned boxes cannot, so
-//! the VP-tree keeps paying past the KD-tree's dimensionality cliff — see
+//! the VP-tree keeps paying as the dimensionality grows — see
 //! `bench_results/BENCH_serving.json` for the committed grid.
 //!
 //! # Determinism
@@ -20,16 +20,15 @@
 //! rebuild over the same points yields the same tree. More importantly,
 //! the choice can only steer *latency*: search scores candidates with the
 //! same [`sq_dist_f`] kernel and selects through the same
-//! `(squared distance, position)` bounded heap as brute/kd, and pruning is
+//! `(squared distance, position)` bounded heap as brute, and pruning is
 //! strictly conservative (a small relative slack absorbs floating-point
 //! rounding in the triangle-inequality bound, and equality never prunes),
 //! so results are **bit-identical** to the brute scan — property-tested in
 //! `tests/index_parity.rs`.
 //!
-//! Like [`KdTree`](crate::kdtree::KdTree), the tree owns its gathered
-//! [`FeatureMatrix`] plus a copy of the points permuted into traversal
-//! order, so leaf scans run the batched distance kernel over contiguous
-//! rows.
+//! The tree owns its gathered [`FeatureMatrix`] plus a copy of the points
+//! permuted into traversal order, so leaf scans run the batched distance
+//! kernel over contiguous rows.
 
 use crate::brute::{FeatureMatrix, Neighbor};
 use crate::dist::sq_dist_f;
@@ -267,12 +266,11 @@ impl VpNodes {
 
 /// A deterministic vantage-point tree that **owns** its [`FeatureMatrix`].
 ///
-/// The metric-space sibling of [`KdTree`](crate::kdtree::KdTree): same
-/// ownership story (a plain `Send + Sync` storable value fitted models
-/// hold and serve concurrent queries from), same streaming-append contract
-/// (pending buffer scanned exactly, periodic rebuild that can never change
-/// an answer), same bit-identical results — different pruning geometry.
-/// See the [module docs](self) for when it wins.
+/// A plain `Send + Sync` storable value that fitted models hold and serve
+/// concurrent queries from, with a streaming-append contract (pending
+/// buffer scanned exactly, periodic rebuild that can never change an
+/// answer) and results bit-identical to the brute scan. See the
+/// [module docs](self) for how it prunes.
 pub struct VpTree {
     points: FeatureMatrix,
     tree: VpNodes,
@@ -465,6 +463,21 @@ mod tests {
         assert!(tree.knn(&[0.0, 0.0], 3).is_empty());
         let tree2 = VpTree::build(random_matrix(10, 2, 1));
         assert!(tree2.knn(&[0.0, 0.0], 0).is_empty());
+    }
+
+    #[test]
+    fn scratch_reuse_matches_fresh_queries() {
+        let fm = random_matrix(300, 2, 12);
+        let tree = VpTree::build(fm.clone());
+        let mut scratch = KnnScratch::new();
+        let mut out = Vec::new();
+        let mut rng = StdRng::seed_from_u64(7);
+        for _ in 0..50 {
+            let q: Vec<f64> = (0..2).map(|_| rng.gen_range(-12.0..12.0)).collect();
+            let k = rng.gen_range(1..=20);
+            tree.knn_with(&q, k, &mut scratch, &mut out);
+            assert_eq!(out, fm.knn(&q, k));
+        }
     }
 
     #[test]

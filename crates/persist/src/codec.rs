@@ -9,8 +9,8 @@
 //!   …) per fitted target, so a driver snapshot is a container of
 //!   independently-coded predictors;
 //! * neighbor indexes serialize as *(kind, feature matrix)* and the tree
-//!   structure is **rebuilt deterministically at load** — KD construction
-//!   is a pure function of the matrix, and kd/brute serving is
+//!   structure is **rebuilt deterministically at load** — VP construction
+//!   is a pure function of the matrix, and vp/brute serving is
 //!   bit-identical by the `iim-neighbors` determinism contract, so
 //!   shipping the points (not the nodes) keeps snapshots small without
 //!   costing a single bit of fidelity;
@@ -109,13 +109,12 @@ fn get_feature_matrix(r: &mut Reader<'_>) -> Result<FeatureMatrix, PersistError>
     Ok(FeatureMatrix::from_dense(f, row_ids, data))
 }
 
-/// Index kind byte: 0 = brute, 1 = kd-tree, 2 = vp-tree. Only the
-/// matrix ships; tree structures rebuild deterministically at load.
+/// Index kind byte: 0 = brute, 2 = vp-tree. Only the matrix ships; tree
+/// structures rebuild deterministically at load.
 fn put_index(w: &mut Writer, index: &NeighborIndex) {
-    w.u8(match index.kind() {
-        "kdtree" => 1,
-        "vptree" => 2,
-        _ => 0,
+    w.u8(match index {
+        NeighborIndex::Brute(_) => 0,
+        NeighborIndex::VpTree(_) => 2,
     });
     put_feature_matrix(w, index.matrix());
 }
@@ -124,8 +123,9 @@ fn get_index(r: &mut Reader<'_>) -> Result<NeighborIndex, PersistError> {
     let kind = r.u8("index kind")?;
     let choice = match kind {
         0 => IndexChoice::Brute,
-        1 => IndexChoice::KdTree,
-        2 => IndexChoice::VpTree,
+        // Kind 1 was the retired kd-tree. Every exact index serves the
+        // same bits, so older snapshots load onto the VP-tree.
+        1 | 2 => IndexChoice::VpTree,
         other => return Err(corrupt(format!("unknown index kind byte {other}"))),
     };
     Ok(NeighborIndex::build(get_feature_matrix(r)?, choice))
@@ -548,6 +548,13 @@ fn get_predictor(r: &mut Reader<'_>, qdim: usize) -> Result<Box<dyn AttrPredicto
                             let right = r.u32("xgb right child")?;
                             if left as usize >= n_nodes || right as usize >= n_nodes {
                                 return Err(corrupt("xgb: child index out of arena"));
+                            }
+                            // The builder places children after their
+                            // parent; a back or self edge would make
+                            // `Tree::predict` loop forever.
+                            let i = nodes.len() as u32;
+                            if left <= i || right <= i {
+                                return Err(corrupt("xgb: child index not after its parent"));
                             }
                             if feature as usize >= qdim {
                                 return Err(corrupt("xgb: split feature out of range"));

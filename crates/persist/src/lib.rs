@@ -153,6 +153,42 @@ mod tests {
     }
 
     #[test]
+    fn xgb_split_pointing_back_is_corrupt_not_a_hang() {
+        use iim_baselines::xgb::{Node, Tree, XgbModel};
+        use iim_data::{FittedAttrModel, FittedPerAttribute};
+        let with_nodes = |nodes: Vec<Node>| {
+            let model = FittedAttrModel {
+                features: vec![1],
+                means: vec![0.0],
+                mean_sums: vec![0.0],
+                mean_count: 1,
+                predictor: Box::new(XgbModel {
+                    base: 0.0,
+                    eta: 0.3,
+                    trees: vec![Tree { nodes }],
+                }),
+            };
+            FittedPerAttribute::from_parts("XGB".into(), 2, vec![Some(model), None])
+        };
+        let split = |left, right| Node::Split {
+            feature: 0,
+            threshold: 1.0,
+            left,
+            right,
+        };
+        // Serving either tree would loop forever in `Tree::predict`.
+        let self_edge = with_nodes(vec![split(0, 1), Node::Leaf(1.0)]);
+        let back_edge = with_nodes(vec![split(1, 2), split(2, 0), Node::Leaf(1.0)]);
+        for hostile in [self_edge, back_edge] {
+            let bytes = save_to_vec(&hostile).unwrap();
+            assert!(matches!(
+                load_from_slice(&bytes),
+                Err(PersistError::Corrupt(msg)) if msg.contains("xgb")
+            ));
+        }
+    }
+
+    #[test]
     fn schema_round_trips_and_is_validated() {
         let fitted = fitted_iim();
         let schema = vec!["lng".to_string(), "price".to_string()];

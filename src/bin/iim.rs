@@ -45,10 +45,10 @@ use std::time::{Duration, Instant};
 
 fn usage() -> String {
     "usage:\
-     \n  iim impute [--method NAME] [--k N] [--seed S] [--threads T] [--index auto|brute|kdtree|vptree] \
+     \n  iim impute [--method NAME] [--k N] [--seed S] [--threads T] [--index auto|brute|vptree] \
      [--fit-on TRAIN.csv | --model MODEL.iim] [--output FILE] INPUT.csv\
      \n  iim fit --save MODEL.iim [--method NAME] [--k N] [--seed S] [--threads T] \
-     [--index auto|brute|kdtree|vptree] TRAIN.csv\
+     [--index auto|brute|vptree] TRAIN.csv\
      \n  iim serve MODEL.iim [--addr 127.0.0.1:7878] [--threads T] \
      [--checkpoint PATH] [--checkpoint-every N] [--max-connections N] [--max-queue N] \
      [--read-timeout SECS] [--write-timeout SECS]\
@@ -179,7 +179,7 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
                 f.index = it
                     .next()
                     .and_then(|v| iim_core::IndexChoice::parse(v))
-                    .ok_or("--index needs one of: auto, brute, kdtree, vptree")?
+                    .ok_or("--index needs one of: auto, brute, vptree")?
             }
             "--fit-on" => f.fit_on = Some(it.next().ok_or("--fit-on needs a path")?.clone()),
             "--model" => f.model = Some(it.next().ok_or("--model needs a path")?.clone()),

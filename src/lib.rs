@@ -124,7 +124,7 @@
 //! | [`core`] | `iim-core` | IIM itself: learning, imputation, adaptive ℓ, incremental computation |
 //! | [`data`] | `iim-data` | relations, missing-value injection, metrics, the [`Imputer`](data::Imputer) protocol |
 //! | [`baselines`] | `iim-baselines` | Mean, kNN, kNNE, IFC, GMM, SVD, ILLS, GLR, LOESS, BLR, ERACER, PMM, XGB |
-//! | [`neighbors`] | `iim-neighbors` | Formula-1 distances, brute/KD-tree kNN, neighbor orders |
+//! | [`neighbors`] | `iim-neighbors` | Formula-1 distances, brute/VP-tree kNN, neighbor orders |
 //! | [`exec`] | `iim-exec` | deterministic parallel maps, the process-wide worker pool |
 //! | [`linalg`] | `iim-linalg` | dense kernels: Cholesky/LU, Jacobi eigen, thin SVD, ridge, Gram accumulators |
 //! | [`ml`] | `iim-ml` | k-means + purity, kNN classifier + F1 (Table VII) |

@@ -317,3 +317,71 @@ fn snapshot_cli_error_paths() {
         String::from_utf8_lossy(&out.stderr)
     );
 }
+
+/// `--index` takes exactly `auto`, `brute` or `vptree`; a retired index
+/// name is a usage error, never silently aliased to another index.
+#[test]
+fn removed_index_name_is_a_usage_error() {
+    let out = Command::new(iim_bin())
+        .args([
+            "impute",
+            "--index",
+            "kdtree",
+            "tests/data/serve_queries.csv",
+        ])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--index needs one of: auto, brute, vptree"),
+        "stderr: {stderr}"
+    );
+}
+
+/// `tests/data/index_kind1.iim` was written by `iim fit --save` (IIM,
+/// default flags) when `IndexChoice::Auto` still picked the retired
+/// kd-tree (600 complete rows, 3 attributes): every slot carries index
+/// kind byte 1. `index_kind1_expected.csv` is what
+/// `iim impute --model index_kind1.iim index_kind1_queries.csv` printed
+/// then. The snapshot must still load, now onto the VP-tree, and serve
+/// those exact bytes.
+#[test]
+fn kind1_snapshot_loads_onto_the_vptree_and_serves_the_same_bytes() {
+    let snap = "tests/data/index_kind1.iim";
+    let loaded = iim_persist::load_from_slice(&std::fs::read(snap).unwrap()).unwrap();
+    let driver = loaded
+        .as_any()
+        .and_then(|a| a.downcast_ref::<iim_data::FittedPerAttribute>())
+        .expect("IIM snapshot loads as a per-attribute driver");
+    assert_eq!(driver.models().len(), 3);
+    for slot in driver.models() {
+        let iim = slot
+            .as_ref()
+            .and_then(|m| m.predictor.as_any())
+            .and_then(|a| a.downcast_ref::<iim_core::IimModel>())
+            .expect("every attribute has a fitted IIM model");
+        assert_eq!(iim.index().kind(), "vptree");
+        assert_eq!(iim.index().len(), 600);
+    }
+
+    let out = Command::new(iim_bin())
+        .args([
+            "impute",
+            "--model",
+            snap,
+            "tests/data/index_kind1_queries.csv",
+        ])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let expected = std::fs::read("tests/data/index_kind1_expected.csv").unwrap();
+    assert!(
+        out.stdout == expected,
+        "served output differs from the committed output"
+    );
+}

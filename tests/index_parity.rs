@@ -1,11 +1,12 @@
 //! The neighbor-index determinism contract, end to end:
 //!
-//! * the owned KD-tree and VP-tree equal the brute scan **bitwise** on
-//!   random matrices — including duplicated points (tie-breaks), `k > n`,
-//!   and ambient dimensions up to 16 (the VP-tree's whole raison d'être);
+//! * the owned VP-tree equals the brute scan **bitwise** on random
+//!   matrices — including duplicated points (tie-breaks), `k > n`, and
+//!   ambient dimensions 1..=16 (every dimensionality `IndexChoice::Auto`
+//!   ever gives a tree);
 //! * the blocked distance kernels (`sq_dist_many`, `sq_dist_on`) agree
 //!   bitwise with scalar `sq_dist_f` — batching is a pure latency choice;
-//! * a fitted model serving through the KD-tree index is bitwise-identical
+//! * a fitted model serving through the VP-tree index is bitwise-identical
 //!   to the same model serving through the brute index, for every
 //!   index-backed method (IIM, kNN, kNNE, LOESS, ILLS, ERACER), single
 //!   query and whole relation, on 1 and 4 worker pools (the CI matrix
@@ -17,9 +18,7 @@ use iim_core::IndexChoice;
 use iim_data::inject::inject_random;
 use iim_exec::Pool;
 use iim_neighbors::brute::FeatureMatrix;
-use iim_neighbors::{
-    sq_dist_f, sq_dist_many, sq_dist_on, KdTree, NeighborIndex, NeighborOrders, VpTree,
-};
+use iim_neighbors::{sq_dist_f, sq_dist_many, sq_dist_on, NeighborIndex, NeighborOrders, VpTree};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -27,27 +26,10 @@ use rand::SeedableRng;
 /// A matrix with deliberate duplicate rows: `rows` random points, each of
 /// `dups` additionally copied over a later slot, so distance ties are
 /// guaranteed and the `(distance, position)` tie-break is exercised.
+/// Ambient dimension runs 1..=16 — the range over which
+/// `IndexChoice::Auto` will ever pick a tree — so the VP-tree's pruning
+/// is exercised at every dimensionality it serves.
 fn arb_matrix_with_dups() -> impl Strategy<Value = FeatureMatrix> {
-    (1usize..40, 1usize..5).prop_flat_map(|(n, m)| {
-        (
-            proptest::collection::vec(-50.0..50.0f64, n * m),
-            proptest::collection::vec(0usize..n.max(1), 0..5),
-        )
-            .prop_map(move |(mut data, dups)| {
-                for (offset, &src) in dups.iter().enumerate() {
-                    let dst = (src + offset + 1) % n;
-                    let src_row: Vec<f64> = data[src * m..(src + 1) * m].to_vec();
-                    data[dst * m..(dst + 1) * m].copy_from_slice(&src_row);
-                }
-                FeatureMatrix::from_dense(m, (0..n as u32).collect::<Vec<u32>>(), data)
-            })
-    })
-}
-
-/// As [`arb_matrix_with_dups`], but with ambient dimension up to 16 —
-/// the range over which `IndexChoice::Auto` will ever pick a tree — so
-/// the VP-tree's pruning is exercised where the kd-tree's would go quiet.
-fn arb_wide_matrix_with_dups() -> impl Strategy<Value = FeatureMatrix> {
     (1usize..40, 1usize..=16).prop_flat_map(|(n, m)| {
         (
             proptest::collection::vec(-50.0..50.0f64, n * m),
@@ -120,31 +102,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
-    fn kdtree_equals_brute_bitwise_with_duplicates_and_k_above_n(
-        fm in arb_matrix_with_dups(),
-        ks in proptest::collection::vec(1usize..80, 1..4),
-    ) {
-        let tree = KdTree::build(fm.clone());
-        let kd_index = NeighborIndex::build(fm.clone(), IndexChoice::KdTree);
-        for q in queries_for(&fm, 6) {
-            for &k in &ks {
-                // k may exceed n: everything comes back, same order.
-                let reference = fm.knn(&q, k);
-                prop_assert_eq!(reference.len(), k.min(fm.len()));
-                for got in [tree.knn(&q, k), kd_index.knn(&q, k)] {
-                    prop_assert_eq!(got.len(), reference.len());
-                    for (g, r) in got.iter().zip(&reference) {
-                        prop_assert_eq!(g.pos, r.pos);
-                        prop_assert_eq!(g.dist.to_bits(), r.dist.to_bits());
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn vptree_equals_brute_bitwise_up_to_dimension_16(
-        fm in arb_wide_matrix_with_dups(),
+        fm in arb_matrix_with_dups(),
         ks in proptest::collection::vec(1usize..80, 1..4),
     ) {
         let tree = VpTree::build(fm.clone());
@@ -207,7 +166,7 @@ proptest! {
 
     #[test]
     fn restricted_attr_knn_through_vptree_matches_the_brute_gather_path(
-        (fm, attrs) in arb_wide_matrix_with_dups().prop_flat_map(|fm| {
+        (fm, attrs) in arb_matrix_with_dups().prop_flat_map(|fm| {
             let m = fm.n_features();
             (Just(fm), proptest::collection::vec(0usize..m, 1..=m))
         }),
@@ -234,10 +193,10 @@ proptest! {
     }
 
     #[test]
-    fn orders_through_either_index_variant_agree(fm in arb_wide_matrix_with_dups()) {
+    fn orders_through_either_index_variant_agree(fm in arb_matrix_with_dups()) {
         let depth = fm.len().min(10);
         let reference = NeighborOrders::build_on(&Pool::serial(), &fm, depth);
-        for choice in [IndexChoice::Brute, IndexChoice::KdTree, IndexChoice::VpTree] {
+        for choice in [IndexChoice::Brute, IndexChoice::VpTree] {
             let index = NeighborIndex::build(fm.clone(), choice);
             for pool in [Pool::serial(), Pool::new(4).with_serial_cutoff(1)] {
                 let got = NeighborOrders::build_from_index(&pool, &index, depth);
@@ -249,24 +208,24 @@ proptest! {
     }
 
     #[test]
-    fn fitted_serving_through_kdtree_is_bitwise_brute(rel in arb_workload()) {
+    fn fitted_serving_through_vptree_is_bitwise_brute(rel in arb_workload()) {
         let serial = Pool::serial();
         let four = Pool::new(4).with_serial_cutoff(1);
-        for (brute, kd) in indexed_methods(IndexChoice::Brute)
+        for (brute, vp) in indexed_methods(IndexChoice::Brute)
             .into_iter()
-            .zip(indexed_methods(IndexChoice::KdTree))
+            .zip(indexed_methods(IndexChoice::VpTree))
         {
-            prop_assert_eq!(brute.name(), kd.name());
+            prop_assert_eq!(brute.name(), vp.name());
             let fb = brute
                 .fit(&rel)
                 .unwrap_or_else(|e| panic!("{} brute fit: {e}", brute.name()));
-            let fk = kd
+            let fv = vp
                 .fit(&rel)
-                .unwrap_or_else(|e| panic!("{} kdtree fit: {e}", kd.name()));
+                .unwrap_or_else(|e| panic!("{} vptree fit: {e}", vp.name()));
             // Whole-relation serving: identical on serial and 4-worker
             // pools, across index variants.
             let reference = fb.impute_all_on(&serial, &rel).unwrap();
-            for (fitted, pool) in [(&fb, &four), (&fk, &serial), (&fk, &four)] {
+            for (fitted, pool) in [(&fb, &four), (&fv, &serial), (&fv, &four)] {
                 let out = fitted.impute_all_on(pool, &rel).unwrap();
                 prop_assert!(
                     out == reference,
@@ -278,7 +237,7 @@ proptest! {
             for &i in &rel.incomplete_rows() {
                 let q = rel.row_opt(i as usize);
                 let a = fb.impute_one(&q).unwrap();
-                let b = fk.impute_one(&q).unwrap();
+                let b = fv.impute_one(&q).unwrap();
                 for (x, y) in a.iter().zip(&b) {
                     prop_assert_eq!(x.to_bits(), y.to_bits(), "{} row {}", brute.name(), i);
                 }
@@ -287,7 +246,7 @@ proptest! {
     }
 }
 
-/// Above the auto threshold the fitted IIM model stores a KD-tree; its
+/// Above the auto threshold the fitted IIM model stores a VP-tree; its
 /// serving must still be bitwise-identical to a forced-brute fit.
 #[test]
 fn auto_index_at_scale_serves_identically_to_brute() {
