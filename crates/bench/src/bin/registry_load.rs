@@ -25,7 +25,7 @@
 use iim_bench::{Args, BenchResult, Cell, Table};
 use iim_core::{AdaptiveConfig, Iim, IimConfig, Learning};
 use iim_data::{Imputer, PerAttributeImputer, Relation, Schema};
-use iim_serve::{Registry, RegistryConfig};
+use iim_serve::{QueryBlock, Registry, RegistryConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -175,10 +175,12 @@ fn main() {
                 let mut local = Vec::new();
                 let mut i = c; // offset so clients don't march in lockstep
                 while !stop.load(Ordering::Relaxed) {
-                    let row = queries[i % queries.len()].clone();
+                    let row = &queries[i % queries.len()];
+                    let mut block = QueryBlock::with_capacity(row.len(), 1);
+                    block.cells_mut().extend_from_slice(row);
                     let t = Instant::now();
                     let results = registry
-                        .impute("bench", header, vec![row])
+                        .impute_block("bench", header, block)
                         .expect("impute under swap churn");
                     local.push(t.elapsed().as_secs_f64() * 1e6);
                     assert!(

@@ -53,9 +53,6 @@ use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// One query row as parsed from the wire.
-pub type QueryRow = Vec<Option<f64>>;
-
 /// How long the batcher lingers after waking to a **multi-job** backlog,
 /// letting stragglers join the coalesced batch instead of paying their own
 /// flush. A single-job wake (the interactive latency path) never lingers.
@@ -91,25 +88,12 @@ pub struct QueryBlock {
 }
 
 impl QueryBlock {
-    /// An empty block whose rows are `arity` cells wide.
-    pub fn new(arity: usize) -> Self {
-        Self {
-            cells: Vec::new(),
-            arity,
-        }
-    }
-
     /// An empty block with room for `rows` rows.
     pub fn with_capacity(arity: usize, rows: usize) -> Self {
         Self {
             cells: Vec::with_capacity(arity * rows),
             arity,
         }
-    }
-
-    /// Cells per row.
-    pub fn arity(&self) -> usize {
-        self.arity
     }
 
     /// Complete rows currently stored.
@@ -128,35 +112,10 @@ impl QueryBlock {
     }
 
     /// The flat cell buffer, for parsers that append whole rows in place.
-    /// The caller keeps the length a multiple of [`QueryBlock::arity`];
+    /// The caller keeps the length a multiple of the block's arity;
     /// a partial trailing row is truncated away at submit.
     pub fn cells_mut(&mut self) -> &mut Vec<Option<f64>> {
         &mut self.cells
-    }
-}
-
-/// The rows of one impute job: either owned per-row vectors (library
-/// callers) or one flat block (the daemon's zero-copy wire path). Both
-/// serve through the same `&RowOpt` slices, so the answers cannot depend
-/// on which shape carried them.
-enum ImputeRows {
-    List(Vec<QueryRow>),
-    Block(QueryBlock),
-}
-
-impl ImputeRows {
-    fn len(&self) -> usize {
-        match self {
-            ImputeRows::List(rows) => rows.len(),
-            ImputeRows::Block(block) => block.len(),
-        }
-    }
-
-    fn row(&self, i: usize) -> &RowOpt {
-        match self {
-            ImputeRows::List(rows) => &rows[i],
-            ImputeRows::Block(block) => block.row(i),
-        }
     }
 }
 
@@ -193,7 +152,7 @@ pub type SwapReply = Result<usize, String>;
 
 enum Job {
     Impute {
-        rows: ImputeRows,
+        rows: QueryBlock,
         reply: mpsc::Sender<Vec<RowResult>>,
     },
     Learn {
@@ -378,35 +337,16 @@ impl Batcher {
     /// Fails only when the batcher is shutting down or the queue is at
     /// its cap. Once enqueued, the job is always answered — even through
     /// shutdown, the batcher drains its queue before exiting.
-    pub fn submit_impute(
-        &self,
-        rows: Vec<QueryRow>,
-    ) -> Result<mpsc::Receiver<Vec<RowResult>>, SubmitRejected> {
-        let (tx, rx) = mpsc::channel();
-        self.submit(Job::Impute {
-            rows: ImputeRows::List(rows),
-            reply: tx,
-        })
-        .map(|()| rx)
-    }
-
-    /// [`Batcher::submit_impute`] for a flat [`QueryBlock`] — the daemon's
-    /// wire path. Same contract; answers are bitwise those of the
-    /// equivalent per-row submission.
     pub fn submit_impute_block(
         &self,
         rows: QueryBlock,
     ) -> Result<mpsc::Receiver<Vec<RowResult>>, SubmitRejected> {
         let (tx, rx) = mpsc::channel();
-        self.submit(Job::Impute {
-            rows: ImputeRows::Block(rows),
-            reply: tx,
-        })
-        .map(|()| rx)
+        self.submit(Job::Impute { rows, reply: tx }).map(|()| rx)
     }
 
     /// Non-blocking variant of [`Batcher::learn`]; same contract as
-    /// [`Batcher::submit_impute`].
+    /// [`Batcher::submit_impute_block`].
     pub fn submit_learn(
         &self,
         rows: Vec<Vec<f64>>,
@@ -415,17 +355,8 @@ impl Batcher {
         self.submit(Job::Learn { rows, reply: tx }).map(|()| rx)
     }
 
-    /// Enqueues `rows` and blocks until their results arrive, in order.
-    ///
-    /// Fails only when the batcher is shutting down or the queue is at
-    /// its cap ([`SubmitRejected`]).
-    pub fn impute(&self, rows: Vec<QueryRow>) -> Result<Vec<RowResult>, SubmitRejected> {
-        self.submit_impute(rows)?
-            .recv()
-            .map_err(|_| SubmitRejected::Shutdown)
-    }
-
-    /// Blocking [`Batcher::submit_impute_block`].
+    /// Blocking [`Batcher::submit_impute_block`]: enqueues `rows` and
+    /// waits for their results, in order.
     ///
     /// Fails only when the batcher is shutting down or the queue is at
     /// its cap ([`SubmitRejected`]).
@@ -503,7 +434,7 @@ impl Drop for Batcher {
 fn flush_imputes(
     model: &dyn FittedImputer,
     pool: &Pool,
-    jobs: &mut Vec<(ImputeRows, mpsc::Sender<Vec<RowResult>>)>,
+    jobs: &mut Vec<(QueryBlock, mpsc::Sender<Vec<RowResult>>)>,
 ) {
     if jobs.is_empty() {
         return;
@@ -588,7 +519,7 @@ fn batcher_loop(
     // If this thread dies for ANY reason — normal shutdown or a panic
     // unwinding out of a worker via the pool's join — the guard marks the
     // queue shut down and drops every pending job's reply sender, so
-    // blocked and future `Batcher::impute` calls return `None` (the
+    // blocked and future `Batcher::impute_block` calls fail (the
     // daemon answers 503) instead of hanging forever on a reply that can
     // never come.
     struct PoisonGuard(Arc<Shared>);
@@ -641,7 +572,7 @@ fn batcher_loop(
 
         // Process the backlog in arrival order: impute jobs coalesce,
         // learn jobs act as barriers between coalesced batches.
-        let mut imputes: Vec<(ImputeRows, mpsc::Sender<Vec<RowResult>>)> = Vec::new();
+        let mut imputes: Vec<(QueryBlock, mpsc::Sender<Vec<RowResult>>)> = Vec::new();
         for job in jobs {
             match job {
                 Job::Impute { rows, reply } => imputes.push((rows, reply)),
@@ -723,11 +654,14 @@ fn batcher_loop(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use iim_data::{Imputer, PerAttributeImputer};
+    use std::sync::Barrier;
 
-    fn fitted() -> Box<dyn FittedImputer> {
+    /// The IIM (k = 3) fit of the paper's Figure 1 relation; deterministic,
+    /// so a second call stands in for the model a batcher owns.
+    pub(crate) fn fitted() -> Box<dyn FittedImputer> {
         let (rel, _) = iim_data::paper_fig1();
         PerAttributeImputer::new(iim_core::Iim::new(iim_core::IimConfig {
             k: 3,
@@ -741,16 +675,32 @@ mod tests {
         Batcher::start(fitted(), threads, None).unwrap()
     }
 
+    /// A block of `arity`-wide rows from their cells, in row order.
+    pub(crate) fn block(arity: usize, cells: &[Option<f64>]) -> QueryBlock {
+        let mut block = QueryBlock::with_capacity(arity, cells.len() / arity.max(1));
+        block.cells_mut().extend_from_slice(cells);
+        block
+    }
+
+    /// The served fill of one query row.
+    fn fill(batcher: &Batcher, row: &[Option<f64>]) -> Vec<f64> {
+        batcher.impute_block(block(row.len(), row)).unwrap()[0]
+            .clone()
+            .unwrap()
+    }
+
     #[test]
     fn batched_results_match_direct_serving() {
         // Deterministic fit: a second fit of the same config is the same
         // model, so it stands in for the one the batcher owns.
         let reference = fitted();
         let batcher = start(2);
-        let rows: Vec<QueryRow> = (0..40).map(|i| vec![Some(i as f64 * 0.2), None]).collect();
-        let got = batcher.impute(rows.clone()).unwrap();
-        assert_eq!(got.len(), rows.len());
-        for (row, out) in rows.iter().zip(&got) {
+        let cells: Vec<Option<f64>> = (0..40).flat_map(|i| [Some(i as f64 * 0.2), None]).collect();
+        let rows = block(2, &cells);
+        assert_eq!(rows.len(), 40);
+        let got = batcher.impute_block(rows).unwrap();
+        assert_eq!(got.len(), 40);
+        for (row, out) in cells.chunks(2).zip(&got) {
             let direct = reference.impute_one(row).unwrap();
             let out = out.as_ref().unwrap();
             assert_eq!(out.len(), direct.len());
@@ -767,10 +717,10 @@ mod tests {
             for t in 0..8 {
                 let batcher = Arc::clone(&batcher);
                 scope.spawn(move || {
-                    let rows: Vec<QueryRow> = (0..5)
-                        .map(|i| vec![Some((t * 5 + i) as f64 * 0.1), None])
+                    let cells: Vec<Option<f64>> = (0..5)
+                        .flat_map(|i| [Some((t * 5 + i) as f64 * 0.1), None])
                         .collect();
-                    let got = batcher.impute(rows).unwrap();
+                    let got = batcher.impute_block(block(2, &cells)).unwrap();
                     assert_eq!(got.len(), 5);
                     for r in got {
                         assert!(r.unwrap()[1].is_finite());
@@ -781,40 +731,57 @@ mod tests {
     }
 
     #[test]
-    fn block_submission_matches_per_row_submission_bitwise() {
-        // The daemon's flat wire path and the library's per-row path must
-        // be indistinguishable in the answers — same kernel, same order.
-        let batcher = start(2);
-        let rows: Vec<QueryRow> = (0..10).map(|i| vec![Some(i as f64 * 0.3), None]).collect();
-        let list = batcher.impute(rows.clone()).unwrap();
-        let mut block = QueryBlock::with_capacity(2, rows.len());
-        for r in &rows {
-            block.cells_mut().extend(r.iter().copied());
+    fn per_row_errors_do_not_poison_the_batch() {
+        // Serves like `fitted()`, but its first impute parks the batcher
+        // between two barrier waits, so the jobs submitted meanwhile are
+        // all queued when it next drains: they coalesce into one flush.
+        struct Gated {
+            inner: Box<dyn FittedImputer>,
+            gate: Arc<Barrier>,
+            tripped: AtomicUsize,
         }
-        assert_eq!(block.len(), rows.len());
-        assert_eq!(block.arity(), 2);
-        let got = batcher.impute_block(block).unwrap();
-        assert_eq!(got.len(), list.len());
-        for (a, b) in list.iter().zip(&got) {
-            let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
-            for (x, y) in a.iter().zip(b) {
-                assert_eq!(x.to_bits(), y.to_bits());
+        impl FittedImputer for Gated {
+            fn name(&self) -> &str {
+                self.inner.name()
+            }
+            fn arity(&self) -> usize {
+                self.inner.arity()
+            }
+            fn impute_one(&self, row: &RowOpt) -> RowResult {
+                if self.tripped.fetch_add(1, Ordering::SeqCst) == 0 {
+                    self.gate.wait(); // the batcher is inside a flush
+                    self.gate.wait(); // the test has queued both jobs
+                }
+                self.inner.impute_one(row)
             }
         }
-    }
+        let gate = Arc::new(Barrier::new(2));
+        let model = Gated {
+            inner: fitted(),
+            gate: Arc::clone(&gate),
+            tripped: AtomicUsize::new(0),
+        };
+        let batcher = Batcher::start(Box::new(model), 1, None).unwrap();
+        let parked = batcher
+            .submit_impute_block(block(2, &[Some(4.5), None]))
+            .unwrap();
+        gate.wait();
+        let good_cells = [Some(1.0), None, Some(2.0), None];
+        let good = batcher.submit_impute_block(block(2, &good_cells)).unwrap();
+        let bad = batcher.submit_impute_block(block(1, &[Some(1.0)])).unwrap();
+        gate.wait();
 
-    #[test]
-    fn per_row_errors_do_not_poison_the_batch() {
-        let batcher = start(1);
-        let rows: Vec<QueryRow> = vec![
-            vec![Some(1.0), None],
-            vec![Some(1.0)], // arity mismatch
-            vec![Some(2.0), None],
-        ];
-        let got = batcher.impute(rows).unwrap();
-        assert!(got[0].is_ok());
-        assert!(matches!(got[1], Err(ImputeError::ArityMismatch { .. })));
-        assert!(got[2].is_ok());
+        assert_eq!(parked.recv().unwrap().len(), 1);
+        let bad = bad.recv().unwrap();
+        assert_eq!(bad.len(), 1);
+        assert!(matches!(bad[0], Err(ImputeError::ArityMismatch { .. })));
+        let good = good.recv().unwrap();
+        let reference = fitted();
+        assert_eq!(good.len(), 2);
+        for (row, out) in good_cells.chunks(2).zip(&good) {
+            let direct = reference.impute_one(row).unwrap();
+            assert_eq!(out.as_ref().unwrap()[1].to_bits(), direct[1].to_bits());
+        }
     }
 
     #[test]
@@ -822,8 +789,8 @@ mod tests {
         let batcher = start(1);
         assert!(batcher.can_absorb());
         assert_eq!(batcher.absorbed(), 0);
-        let q: Vec<QueryRow> = vec![vec![Some(4.5), None]];
-        let before = batcher.impute(q.clone()).unwrap()[0].clone().unwrap();
+        let q = [Some(4.5), None];
+        let before = fill(&batcher, &q);
 
         let reply = batcher.learn(vec![vec![4.6, 2.0], vec![5.4, 1.5]]).unwrap();
         assert_eq!(reply, Ok(2));
@@ -833,8 +800,8 @@ mod tests {
         let mut reference = fitted();
         reference.absorb(&[4.6, 2.0]).unwrap();
         reference.absorb(&[5.4, 1.5]).unwrap();
-        let after = batcher.impute(q.clone()).unwrap()[0].clone().unwrap();
-        let direct = reference.impute_one(&q[0]).unwrap();
+        let after = fill(&batcher, &q);
+        let direct = reference.impute_one(&q).unwrap();
         assert_eq!(after[1].to_bits(), direct[1].to_bits());
         assert_ne!(before[1].to_bits(), after[1].to_bits());
     }
@@ -898,11 +865,11 @@ mod tests {
         // The panicking batch itself and every later request must resolve
         // (to an error → a 503 upstream), never hang.
         assert_eq!(
-            batcher.impute(vec![vec![None]]),
+            batcher.impute_block(block(1, &[None])),
             Err(SubmitRejected::Shutdown)
         );
         assert_eq!(
-            batcher.impute(vec![vec![None]]),
+            batcher.impute_block(block(1, &[None])),
             Err(SubmitRejected::Shutdown)
         );
     }
@@ -910,20 +877,20 @@ mod tests {
     #[test]
     fn swap_is_a_barrier_and_updates_metadata() {
         let batcher = start(2);
-        let q: Vec<QueryRow> = vec![vec![Some(4.5), None]];
-        let before = batcher.impute(q.clone()).unwrap()[0].clone().unwrap();
+        let q = [Some(4.5), None];
+        let before = fill(&batcher, &q);
 
         // Swap in a model that has absorbed two extra tuples; requests
         // after the swap returns must serve the new model's bits.
         let mut next = fitted();
         next.absorb(&[4.6, 2.0]).unwrap();
         next.absorb(&[5.4, 1.5]).unwrap();
-        let expected = next.impute_one(&q[0]).unwrap();
+        let expected = next.impute_one(&q).unwrap();
         assert_eq!(batcher.swap(next, None, None), Ok(Ok(2)));
         assert_eq!(batcher.absorbed(), 2);
         assert_eq!(batcher.model_name(), "IIM");
 
-        let after = batcher.impute(q).unwrap()[0].clone().unwrap();
+        let after = fill(&batcher, &q);
         assert_eq!(after[1].to_bits(), expected[1].to_bits());
         assert_ne!(before[1].to_bits(), after[1].to_bits());
     }
@@ -931,8 +898,8 @@ mod tests {
     #[test]
     fn swap_rename_failure_keeps_the_old_model() {
         let batcher = start(1);
-        let q: Vec<QueryRow> = vec![vec![Some(4.5), None]];
-        let before = batcher.impute(q.clone()).unwrap()[0].clone().unwrap();
+        let q = [Some(4.5), None];
+        let before = fill(&batcher, &q);
 
         let mut next = fitted();
         next.absorb(&[4.6, 2.0]).unwrap();
@@ -942,7 +909,7 @@ mod tests {
         assert!(reply.is_err(), "rename of a missing tmp must fail the swap");
         assert_eq!(batcher.absorbed(), 0);
 
-        let after = batcher.impute(q).unwrap()[0].clone().unwrap();
+        let after = fill(&batcher, &q);
         assert_eq!(before[1].to_bits(), after[1].to_bits());
     }
 
@@ -971,7 +938,7 @@ mod tests {
         let batcher = start(1);
         batcher.shutdown();
         assert_eq!(
-            batcher.impute(vec![vec![Some(1.0), None]]),
+            batcher.impute_block(block(2, &[Some(1.0), None])),
             Err(SubmitRejected::Shutdown)
         );
         assert_eq!(
@@ -1003,11 +970,11 @@ mod tests {
         batcher.set_max_queue(1);
         // First job occupies the batcher; give it time to be drained off
         // the queue, then fill the single queue slot.
-        let first = batcher.submit_impute(vec![vec![None]]).unwrap();
+        let first = batcher.submit_impute_block(block(1, &[None])).unwrap();
         std::thread::sleep(Duration::from_millis(50));
-        let second = batcher.submit_impute(vec![vec![None]]).unwrap();
+        let second = batcher.submit_impute_block(block(1, &[None])).unwrap();
         assert_eq!(
-            batcher.submit_impute(vec![vec![None]]).map(|_| ()),
+            batcher.submit_impute_block(block(1, &[None])).map(|_| ()),
             Err(SubmitRejected::Overloaded)
         );
         assert_eq!(

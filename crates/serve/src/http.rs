@@ -210,14 +210,6 @@ impl RequestReader {
     }
 }
 
-/// Reads exactly one request from `stream` (tests and one-shot tools; the
-/// daemon uses [`RequestReader`] to keep connections alive).
-pub fn read_request<S: Read>(stream: &mut S) -> Result<Request, HttpError> {
-    RequestReader::new()
-        .read_request(stream)?
-        .ok_or(HttpError::Malformed("connection closed before request"))
-}
-
 /// Appends a complete response (status line, minimal headers, body) to
 /// `out` without any I/O — the daemon assembles each response in a
 /// reusable buffer and ships it with one `write_all`, keeping the
@@ -244,53 +236,28 @@ pub fn write_response(
     out.extend_from_slice(body);
 }
 
-/// Writes a complete response and flushes. `keep_alive` controls the
-/// `Connection:` header; it must match what the caller then does with the
-/// connection.
-pub fn respond<S: Write>(
-    stream: &mut S,
-    status: u16,
-    reason: &str,
-    content_type: &str,
-    keep_alive: bool,
-    body: &[u8],
-) -> io::Result<()> {
-    respond_ext(stream, status, reason, content_type, keep_alive, &[], body)
-}
-
-/// [`respond`] with extra headers (e.g. `Allow` on a 405). Header names
-/// and values are the caller's responsibility — no CRLF in either.
-pub fn respond_ext<S: Write>(
-    stream: &mut S,
-    status: u16,
-    reason: &str,
-    content_type: &str,
-    keep_alive: bool,
-    extra_headers: &[(&str, &str)],
-    body: &[u8],
-) -> io::Result<()> {
-    let mut out = Vec::with_capacity(128 + body.len());
-    write_response(
-        &mut out,
-        status,
-        reason,
-        content_type,
-        keep_alive,
-        extra_headers,
-        body,
-    );
-    stream.write_all(&out)?;
-    stream.flush()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Parses the first request in `raw`.
+    fn read_request(raw: &[u8]) -> Result<Request, HttpError> {
+        RequestReader::new()
+            .read_request(&mut &raw[..])
+            .map(|r| r.expect("a request, not a clean end of stream"))
+    }
+
+    /// One complete response as text.
+    fn response(keep_alive: bool) -> String {
+        let mut out = Vec::new();
+        write_response(&mut out, 200, "OK", "text/plain", keep_alive, &[], b"ok\n");
+        String::from_utf8(out).unwrap()
+    }
+
     #[test]
     fn parses_post_with_body() {
         let raw = b"POST /impute HTTP/1.1\r\nHost: x\r\nContent-Length: 5\r\n\r\nhello";
-        let req = read_request(&mut &raw[..]).unwrap();
+        let req = read_request(raw).unwrap();
         assert_eq!(req.method, "POST");
         assert_eq!(req.path, "/impute");
         assert_eq!(req.body, b"hello");
@@ -300,7 +267,7 @@ mod tests {
     #[test]
     fn parses_bare_lf_get() {
         let raw = b"GET /healthz HTTP/1.1\nHost: x\n\n";
-        let req = read_request(&mut &raw[..]).unwrap();
+        let req = read_request(raw).unwrap();
         assert_eq!(req.method, "GET");
         assert_eq!(req.path, "/healthz");
         assert!(req.body.is_empty());
@@ -309,17 +276,17 @@ mod tests {
     #[test]
     fn connection_header_overrides_the_version_default() {
         let close = b"GET / HTTP/1.1\r\nConnection: close\r\n\r\n";
-        assert!(!read_request(&mut &close[..]).unwrap().keep_alive);
+        assert!(!read_request(close).unwrap().keep_alive);
         let ka10 = b"GET / HTTP/1.0\r\nConnection: Keep-Alive\r\n\r\n";
-        assert!(read_request(&mut &ka10[..]).unwrap().keep_alive);
+        assert!(read_request(ka10).unwrap().keep_alive);
         let plain10 = b"GET / HTTP/1.0\r\nHost: x\r\n\r\n";
         assert!(
-            !read_request(&mut &plain10[..]).unwrap().keep_alive,
+            !read_request(plain10).unwrap().keep_alive,
             "HTTP/1.0 defaults to close"
         );
         // Token list form, mixed case.
         let listed = b"GET / HTTP/1.1\r\nConnection: TE, Close\r\n\r\n";
-        assert!(!read_request(&mut &listed[..]).unwrap().keep_alive);
+        assert!(!read_request(listed).unwrap().keep_alive);
     }
 
     #[test]
@@ -363,7 +330,7 @@ mod tests {
             "POST /impute HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
             body.len()
         );
-        let req = read_request(&mut raw.as_bytes()).unwrap();
+        let req = read_request(raw.as_bytes()).unwrap();
         assert_eq!(req.body.len(), body.len());
         assert_eq!(req.body, body.as_bytes());
     }
@@ -374,7 +341,7 @@ mod tests {
         // fix the last header silently won; now the request is malformed.
         let raw = b"POST /impute HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 2\r\n\r\nhello";
         assert!(matches!(
-            read_request(&mut &raw[..]),
+            read_request(raw),
             Err(HttpError::Malformed("duplicate content-length"))
         ));
     }
@@ -383,7 +350,7 @@ mod tests {
     fn rejects_duplicate_content_lengths_even_when_equal() {
         let raw = b"POST /impute HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 5\r\n\r\nhello";
         assert!(matches!(
-            read_request(&mut &raw[..]),
+            read_request(raw),
             Err(HttpError::Malformed("duplicate content-length"))
         ));
     }
@@ -395,24 +362,19 @@ mod tests {
             MAX_BODY_BYTES + 1
         );
         assert!(matches!(
-            read_request(&mut raw.as_bytes()),
+            read_request(raw.as_bytes()),
             Err(HttpError::TooLarge)
         ));
     }
 
     #[test]
     fn response_shape() {
-        let mut out = Vec::new();
-        respond(&mut out, 200, "OK", "text/plain", false, b"ok\n").unwrap();
-        let text = String::from_utf8(out).unwrap();
+        let text = response(false);
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("Content-Length: 3\r\n"));
         assert!(text.contains("Connection: close\r\n"));
         assert!(text.ends_with("\r\n\r\nok\n"));
 
-        let mut out = Vec::new();
-        respond(&mut out, 200, "OK", "text/plain", true, b"ok\n").unwrap();
-        let text = String::from_utf8(out).unwrap();
-        assert!(text.contains("Connection: keep-alive\r\n"));
+        assert!(response(true).contains("Connection: keep-alive\r\n"));
     }
 }

@@ -27,12 +27,15 @@
 //! snapshot as delta records, so a restart replays them instead of
 //! relearning.
 //!
-//! **Multi-tenant registry mode** ([`registry::Registry`], `iim serve
-//! --models-dir DIR`) serves many named models from one daemon:
-//! `POST /models/{name}/impute`, a `PUT /models/{name}` admin route that
-//! stages a new snapshot, and LRU eviction of cold models under a
-//! resident cap. Hot swap rides the batcher's barrier mechanism
-//! ([`Batcher::swap`]).
+//! Every request is served through one [`registry::Registry`]. `iim serve
+//! MODEL.iim` is a registry without a directory holding the loaded model
+//! as its one tenant, `default` ([`Registry::single`]). **Multi-tenant
+//! registry mode** (`iim serve --models-dir DIR`) serves many named
+//! models from one daemon: `POST /models/{name}/impute`, a
+//! `PUT /models/{name}` admin route that stages a new snapshot, and LRU
+//! eviction of cold models under a resident cap. In both modes
+//! `POST /impute` and `POST /learn` serve the tenant `default`. Hot swap
+//! rides the batcher's barrier mechanism ([`Batcher::swap`]).
 //!
 //! # One version per response (atomicity contract)
 //!
@@ -527,14 +530,24 @@ mod tests {
     }
 
     fn start_registry(tag: &str, max_resident: usize) -> (ServerHandle, std::path::PathBuf) {
+        start_registry_with(
+            tag,
+            RegistryConfig {
+                max_resident,
+                threads: 2,
+                ..Default::default()
+            },
+        )
+    }
+
+    /// A registry daemon over a fresh directory, configured by `cfg`.
+    fn start_registry_with(tag: &str, cfg: RegistryConfig) -> (ServerHandle, std::path::PathBuf) {
         let dir =
             std::env::temp_dir().join(format!("iim-serve-registry-{tag}-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         let registry = Registry::open(RegistryConfig {
             dir: dir.clone(),
-            max_resident,
-            threads: 2,
-            ..Default::default()
+            ..cfg
         })
         .unwrap();
         let server = Server::bind_registry(
@@ -662,6 +675,56 @@ mod tests {
         assert!(resp.starts_with("HTTP/1.1 405"), "{resp}");
         assert!(resp.contains("Allow: GET"), "{resp}");
 
+        handle.shutdown();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `/impute` and `/learn` route to the tenant `default` in registry
+    /// mode too: the same bytes as `/models/default/impute`, the same
+    /// absorbed counter, and a structured 404 while there is no
+    /// `default.iim`.
+    #[test]
+    fn registry_mode_impute_and_learn_serve_the_default_model() {
+        let (handle, dir) = start_registry("default", 2);
+        let addr = handle.addr();
+        let query = "A1,A2\n4.5,?\n2.0,?\n";
+        for path in ["/impute", "/learn"] {
+            let resp = post(addr, path, "A1,A2\n4.6,2.0\n");
+            assert!(resp.starts_with("HTTP/1.1 404"), "{path}: {resp}");
+            assert!(resp.contains("\"error\":\"unknown_model\""), "{resp}");
+        }
+
+        assert!(put(addr, "/models/default", &snapshot_k(3)).starts_with("HTTP/1.1 200"));
+        let before = post(addr, "/impute", query);
+        assert!(before.starts_with("HTTP/1.1 200"), "{before}");
+        assert_eq!(before, post(addr, "/models/default/impute", query));
+
+        let card = || roundtrip(addr, "GET /models/default/info HTTP/1.1\r\nHost: t\r\n\r\n");
+        assert!(card().contains("\"absorbed\":0"), "{}", card());
+        let learn = post(addr, "/learn", "A1,A2\n4.6,2.0\n");
+        assert!(learn.contains("\"total_absorbed\":1"), "{learn}");
+        assert!(card().contains("\"absorbed\":1"), "{}", card());
+        let after = post(addr, "/impute", query);
+        assert_eq!(after, post(addr, "/models/default/impute", query));
+        assert_ne!(before, after);
+
+        handle.shutdown();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `/info` reports the queue cap and worker threads the tenants run
+    /// with (7 and 3), not the daemon's `ServeConfig` (1024 and 2).
+    #[test]
+    fn info_reports_the_limits_the_registry_enforces() {
+        let cfg = RegistryConfig {
+            max_queue: 7,
+            threads: 3,
+            ..Default::default()
+        };
+        let (handle, dir) = start_registry_with("cap", cfg);
+        let info = roundtrip(handle.addr(), "GET /info HTTP/1.1\r\nHost: t\r\n\r\n");
+        assert!(info.contains("\"max_queue\":7"), "{info}");
+        assert!(info.contains("\"threads\":3"), "{info}");
         handle.shutdown();
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -8,6 +8,10 @@
 //! (read + validate-then-view load + batcher spawn) and the
 //! least-recently-used tenant is evicted to make room.
 //!
+//! Single-model serving (`iim serve MODEL.iim`) is a registry without a
+//! directory ([`Registry::single`]): nothing activates, stages or
+//! deletes, so its one tenant, [`DEFAULT_MODEL`], is never evicted.
+//!
 //! # Consistency contract
 //!
 //! * **Hot swap is atomic.** [`Registry::stage`] on a resident model
@@ -34,14 +38,18 @@
 //! so tenants never serialize behind each other's batches.
 
 use crate::batch::{
-    Batcher, CheckpointConfig, LearnReply, QueryBlock, QueryRow, RowResult, SubmitRejected,
-    DEFAULT_MAX_QUEUE,
+    Batcher, CheckpointConfig, LearnReply, QueryBlock, RowResult, SubmitRejected, DEFAULT_MAX_QUEUE,
 };
+use iim_data::FittedImputer;
 use iim_persist::PersistError;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
+
+/// The tenant `POST /impute` and `POST /learn` serve: the one model of a
+/// [`Registry::single`], or `<dir>/default.iim` in a models directory.
+pub const DEFAULT_MODEL: &str = "default";
 
 /// Registry configuration.
 #[derive(Debug, Clone)]
@@ -157,6 +165,9 @@ pub struct ModelInfo {
     pub snapshot_version: u16,
     /// Whether a batcher is live for this model right now.
     pub resident: bool,
+    /// Attribute count; known only while resident (a cold card comes
+    /// from the snapshot header, which does not record it).
+    pub arity: Option<usize>,
     /// Whether the model supports `POST /learn`.
     pub can_absorb: bool,
     /// Absorbed-delta count: live total when resident, delta rows on disk
@@ -191,12 +202,14 @@ struct Inner {
 
 /// See the [module docs](self).
 pub struct Registry {
-    dir: PathBuf,
+    /// `None` for a [`Registry::single`]: no files, one resident tenant.
+    dir: Option<PathBuf>,
     max_resident: usize,
     threads: usize,
     max_queue: usize,
-    /// Torn-tail snapshot recoveries observed across activations (the
-    /// daemon folds this into `GET /info`'s `"recovered"`).
+    /// Torn-tail snapshot recoveries observed at load and across
+    /// activations (the daemon reports this as `GET /info`'s
+    /// `"recovered"`).
     recovered: AtomicUsize,
     inner: Mutex<Inner>,
 }
@@ -222,7 +235,7 @@ impl Registry {
     pub fn open(cfg: RegistryConfig) -> std::io::Result<Arc<Self>> {
         std::fs::create_dir_all(&cfg.dir)?;
         Ok(Arc::new(Self {
-            dir: cfg.dir,
+            dir: Some(cfg.dir),
             max_resident: cfg.max_resident.max(1),
             threads: cfg.threads,
             max_queue: cfg.max_queue,
@@ -234,9 +247,48 @@ impl Registry {
         }))
     }
 
-    /// The registry directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
+    /// A registry without a directory whose one resident tenant,
+    /// [`DEFAULT_MODEL`], is the already-loaded `model` (`iim serve
+    /// MODEL.iim`); its batcher starts here. `schema`, `snapshot_version`
+    /// and `recovered` (torn tails dropped) describe the snapshot it came
+    /// from; an empty schema checks only arity. Of `limits`, only
+    /// `threads` and `max_queue` are read.
+    ///
+    /// # Errors
+    ///
+    /// Fails only when the batcher thread cannot be spawned.
+    pub fn single(
+        model: Box<dyn FittedImputer>,
+        schema: Vec<String>,
+        snapshot_version: u16,
+        recovered: usize,
+        checkpoint: Option<CheckpointConfig>,
+        limits: &RegistryConfig,
+    ) -> std::io::Result<Arc<Self>> {
+        let batcher = Batcher::start(model, limits.threads, checkpoint)?;
+        batcher.set_max_queue(limits.max_queue);
+        let tenant = Tenant {
+            batcher,
+            schema: schema.into(),
+            version: snapshot_version,
+            last_used: 0,
+        };
+        Ok(Arc::new(Self {
+            dir: None,
+            max_resident: 1,
+            threads: limits.threads,
+            max_queue: limits.max_queue,
+            recovered: AtomicUsize::new(recovered),
+            inner: Mutex::new(Inner {
+                resident: HashMap::from([(DEFAULT_MODEL.to_string(), tenant)]),
+                clock: 0,
+            }),
+        }))
+    }
+
+    /// The registry directory (`None` for a [`Registry::single`]).
+    pub fn dir(&self) -> Option<&Path> {
+        self.dir.as_deref()
     }
 
     /// The resident cap.
@@ -244,24 +296,43 @@ impl Registry {
         self.max_resident
     }
 
-    /// Torn-tail snapshot recoveries observed while activating models
-    /// (each one means a crash left a truncated delta tail that loading
-    /// dropped and the next checkpoint repaired).
+    /// Worker threads per tenant pool (`0` resolved to the process default).
+    pub fn threads(&self) -> usize {
+        iim_exec::Pool::new(self.threads).threads()
+    }
+
+    /// The per-tenant micro-batch queue cap every tenant enforces
+    /// ([`Batcher::set_max_queue`]; `0` = unbounded).
+    pub fn max_queue(&self) -> usize {
+        self.max_queue
+    }
+
+    /// Torn-tail snapshot recoveries observed while loading models (each
+    /// one means a crash left a truncated delta tail that loading dropped
+    /// and the next checkpoint repaired).
     pub fn recovered(&self) -> usize {
         self.recovered.load(Ordering::Relaxed)
     }
 
+    /// `<dir>/<name>.iim` for a valid `name`. A registry without a
+    /// directory has no files, so every name is unknown to it.
     fn path_for(&self, name: &str) -> Result<PathBuf, RegistryError> {
         if !valid_name(name) {
             return Err(RegistryError::BadName(name.to_string()));
         }
-        Ok(self.dir.join(format!("{name}.iim")))
+        match &self.dir {
+            Some(dir) => Ok(dir.join(format!("{name}.iim"))),
+            None => Err(RegistryError::UnknownModel(name.to_string())),
+        }
     }
 
-    /// Model names present on disk, sorted.
+    /// Model names present on disk, sorted (none without a directory).
     pub fn names(&self) -> Result<Vec<String>, RegistryError> {
+        let Some(dir) = &self.dir else {
+            return Ok(Vec::new());
+        };
         let mut names = Vec::new();
-        for entry in std::fs::read_dir(&self.dir)? {
+        for entry in std::fs::read_dir(dir)? {
             let path = entry?.path();
             if path.extension().and_then(|e| e.to_str()) != Some("iim") {
                 continue;
@@ -292,21 +363,19 @@ impl Registry {
     /// One model's card. Never activates the model: a cold model's card
     /// comes from [`iim_persist::inspect`] on its file.
     pub fn info(&self, name: &str) -> Result<ModelInfo, RegistryError> {
-        let path = self.path_for(name)?;
-        {
-            let inner = lock_inner(&self.inner);
-            if let Some(t) = inner.resident.get(name) {
-                return Ok(ModelInfo {
-                    name: name.to_string(),
-                    method: t.batcher.model_name(),
-                    snapshot_version: t.version,
-                    resident: true,
-                    can_absorb: t.batcher.can_absorb(),
-                    absorbed: t.batcher.absorbed(),
-                    schema: t.schema.to_vec(),
-                });
-            }
+        if let Some(t) = lock_inner(&self.inner).resident.get(name) {
+            return Ok(ModelInfo {
+                name: name.to_string(),
+                method: t.batcher.model_name(),
+                snapshot_version: t.version,
+                resident: true,
+                arity: Some(t.batcher.arity()),
+                can_absorb: t.batcher.can_absorb(),
+                absorbed: t.batcher.absorbed(),
+                schema: t.schema.to_vec(),
+            });
         }
+        let path = self.path_for(name)?;
         let bytes = read_model(&path, name)?;
         let info = iim_persist::inspect(&bytes).map_err(RegistryError::Load)?;
         Ok(ModelInfo {
@@ -314,6 +383,7 @@ impl Registry {
             method: info.method,
             snapshot_version: info.version,
             resident: false,
+            arity: None,
             // Absorb support is a property of the fitted method; without
             // activating we report what the snapshot carries: a model that
             // already absorbed rows certainly can, others say false until
@@ -326,71 +396,63 @@ impl Registry {
 
     /// Runs `f` on the (activated, LRU-bumped) tenant under the registry
     /// lock. `f` must not block — submit jobs and return receivers.
-    /// Evicted tenants are returned to the caller so their (draining)
-    /// drop happens outside the lock.
+    /// Evicted tenants are dropped (draining) after the lock is released.
     fn with_tenant<R>(&self, name: &str, f: impl FnOnce(&Tenant) -> R) -> Result<R, RegistryError> {
-        let path = self.path_for(name)?;
-        let mut evicted: Vec<Tenant> = Vec::new();
-        let out = {
-            let mut inner = lock_inner(&self.inner);
-            if !inner.resident.contains_key(name) {
-                let bytes = read_model(&path, name)?;
-                let (model, info) =
-                    iim_persist::load_from_slice_with_info(&bytes).map_err(RegistryError::Load)?;
-                if info.recovered_at.is_some() {
-                    self.recovered.fetch_add(1, Ordering::Relaxed);
-                }
-                let batcher = Batcher::start(
-                    model,
-                    self.threads,
-                    // every = 1: each absorbed tuple hits disk inside the
-                    // learn barrier, making eviction lossless. A torn tail
-                    // the load recovered past is truncated away before the
-                    // next delta lands, so damage never precedes a valid
-                    // record.
-                    Some(CheckpointConfig {
-                        path: path.clone(),
-                        every: 1,
-                        truncate_to: info.recovered_at,
-                    }),
-                )?;
-                batcher.set_max_queue(self.max_queue);
-                inner.resident.insert(
-                    name.to_string(),
-                    Tenant {
-                        batcher,
-                        schema: info.schema.into(),
-                        version: info.version,
-                        last_used: 0,
-                    },
-                );
-                // Make room: evict least-recently-used others over the cap.
-                while inner.resident.len() > self.max_resident {
-                    let coldest = inner
-                        .resident
-                        .iter()
-                        .filter(|(n, _)| n.as_str() != name)
-                        .min_by_key(|(_, t)| t.last_used)
-                        .map(|(n, _)| n.clone());
-                    match coldest {
-                        Some(n) => {
-                            if let Some(t) = inner.resident.remove(&n) {
-                                evicted.push(t);
-                            }
-                        }
-                        None => break,
-                    }
-                }
-            }
-            inner.clock += 1;
-            let clock = inner.clock;
-            let tenant = inner.resident.get_mut(name).expect("just inserted");
+        let mut inner = lock_inner(&self.inner);
+        inner.clock += 1;
+        let clock = inner.clock;
+        // Resident names were validated when they activated, so the hot
+        // path needs neither the check nor the file path.
+        if let Some(tenant) = inner.resident.get_mut(name) {
             tenant.last_used = clock;
-            f(&*tenant)
+            return Ok(f(tenant));
+        }
+        let path = self.path_for(name)?;
+        let bytes = read_model(&path, name)?;
+        let (model, info) =
+            iim_persist::load_from_slice_with_info(&bytes).map_err(RegistryError::Load)?;
+        if info.recovered_at.is_some() {
+            self.recovered.fetch_add(1, Ordering::Relaxed);
+        }
+        let batcher = Batcher::start(
+            model,
+            self.threads,
+            // every = 1: each absorbed tuple hits disk inside the learn
+            // barrier, making eviction lossless. A torn tail the load
+            // recovered past is truncated away before the next delta
+            // lands, so damage never precedes a valid record.
+            Some(CheckpointConfig {
+                path,
+                every: 1,
+                truncate_to: info.recovered_at,
+            }),
+        )?;
+        batcher.set_max_queue(self.max_queue);
+        let tenant = Tenant {
+            batcher,
+            schema: info.schema.into(),
+            version: info.version,
+            last_used: clock,
         };
+        // Make room: evict least-recently-used tenants down below the cap.
+        let mut evicted: Vec<Tenant> = Vec::new();
+        while inner.resident.len() >= self.max_resident {
+            let Some(coldest) = inner
+                .resident
+                .iter()
+                .min_by_key(|(_, t)| t.last_used)
+                .map(|(n, _)| n.clone())
+            else {
+                break;
+            };
+            evicted.extend(inner.resident.remove(&coldest));
+        }
+        let out = f(&tenant);
+        inner.resident.insert(name.to_string(), tenant);
         // Dropping a Batcher drains its queue (answering anything already
         // enqueued) and flushes its checkpoint — outside the lock, so a
         // slow drain never stalls other tenants.
+        drop(inner);
         drop(evicted);
         Ok(out)
     }
@@ -407,21 +469,6 @@ impl Registry {
 
     /// Imputes `rows` against model `name`, activating it if cold.
     /// `header` is validated against the snapshot's recorded schema.
-    pub fn impute(
-        &self,
-        name: &str,
-        header: &[String],
-        rows: Vec<QueryRow>,
-    ) -> Result<Vec<RowResult>, RegistryError> {
-        let rx = self.with_tenant(name, |t| {
-            Self::check_schema(&t.schema, header)?;
-            t.batcher.submit_impute(rows).map_err(RegistryError::from)
-        })??;
-        rx.recv().map_err(|_| RegistryError::Unavailable)
-    }
-
-    /// [`Registry::impute`] for a flat [`QueryBlock`] — the daemon's
-    /// zero-copy wire path. Answers are bitwise those of the per-row form.
     pub fn impute_block(
         &self,
         name: &str,
@@ -468,10 +515,10 @@ impl Registry {
                 "fault injected: registry.stage.validate".into(),
             ));
         }
-        let (model, _info) =
+        let (model, info) =
             iim_persist::load_from_slice_with_info(bytes).map_err(RegistryError::Load)?;
         let method = model.name().to_string();
-        let tmp = self.dir.join(format!(".{name}.iim.tmp"));
+        let tmp = dst.with_file_name(format!(".{name}.iim.tmp"));
         // Durable staging: the temp file is fsynced before any rename can
         // publish it, so a crash never leaves a half-written snapshot
         // under the model's name. A failed write must not leave the
@@ -503,7 +550,6 @@ impl Registry {
                 );
                 match outcome {
                     Ok(Ok(_)) => {
-                        let info = iim_persist::inspect(bytes).map_err(RegistryError::Load)?;
                         tenant.schema = info.schema.into();
                         tenant.version = info.version;
                         true
@@ -544,22 +590,6 @@ impl Registry {
         }
     }
 
-    /// Evicts model `name`'s tenant (if resident), leaving its file in
-    /// place; the next request reactivates it. Returns whether a tenant
-    /// was actually torn down.
-    pub fn evict(&self, name: &str) -> Result<bool, RegistryError> {
-        if !valid_name(name) {
-            return Err(RegistryError::BadName(name.to_string()));
-        }
-        let tenant = {
-            let mut inner = lock_inner(&self.inner);
-            inner.resident.remove(name)
-        };
-        let was = tenant.is_some();
-        drop(tenant);
-        Ok(was)
-    }
-
     /// Signals every resident tenant's batcher to stop accepting work
     /// (their queues still drain). Used by graceful daemon shutdown.
     pub fn shutdown(&self) {
@@ -583,17 +613,7 @@ fn read_model(path: &Path, name: &str) -> Result<Vec<u8>, RegistryError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iim_data::{FittedImputer, Imputer, PerAttributeImputer};
-
-    fn fitted() -> Box<dyn FittedImputer> {
-        let (rel, _) = iim_data::paper_fig1();
-        PerAttributeImputer::new(iim_core::Iim::new(iim_core::IimConfig {
-            k: 3,
-            ..Default::default()
-        }))
-        .fit(&rel)
-        .unwrap()
-    }
+    use crate::batch::tests::{block, fitted};
 
     fn snapshot_bytes() -> Vec<u8> {
         iim_persist::save_to_vec_with_schema(
@@ -616,7 +636,15 @@ mod tests {
     }
 
     fn cleanup(reg: &Registry) {
-        std::fs::remove_dir_all(reg.dir()).ok();
+        std::fs::remove_dir_all(reg.dir().unwrap()).ok();
+    }
+
+    /// The served fill of one query row against model `name`.
+    fn fill(reg: &Registry, name: &str, header: &[String], cells: &[Option<f64>]) -> Vec<f64> {
+        reg.impute_block(name, header, block(cells.len(), cells))
+            .unwrap()[0]
+            .clone()
+            .unwrap()
     }
 
     #[test]
@@ -630,11 +658,9 @@ mod tests {
         assert_eq!(reg.names().unwrap(), vec!["prices"]);
 
         let header = vec!["A1".to_string(), "A2".to_string()];
-        let fills = reg
-            .impute("prices", &header, vec![vec![Some(5.0), None]])
-            .unwrap();
+        let served = fill(&reg, "prices", &header, &[Some(5.0), None]);
         let direct = fitted().impute_one(&[Some(5.0), None]).unwrap();
-        assert_eq!(fills[0].as_ref().unwrap()[1].to_bits(), direct[1].to_bits());
+        assert_eq!(served[1].to_bits(), direct[1].to_bits());
 
         let info = reg.info("prices").unwrap();
         assert!(info.resident);
@@ -643,7 +669,7 @@ mod tests {
 
         reg.delete("prices").unwrap();
         assert!(matches!(
-            reg.impute("prices", &header, vec![vec![Some(5.0), None]]),
+            reg.impute_block("prices", &header, block(2, &[Some(5.0), None])),
             Err(RegistryError::UnknownModel(_))
         ));
         cleanup(&reg);
@@ -672,7 +698,7 @@ mod tests {
         reg.stage("m", &snapshot_bytes()).unwrap();
         let reordered = vec!["A2".to_string(), "A1".to_string()];
         assert!(matches!(
-            reg.impute("m", &reordered, vec![vec![None, Some(5.0)]]),
+            reg.impute_block("m", &reordered, block(2, &[None, Some(5.0)])),
             Err(RegistryError::SchemaMismatch { .. })
         ));
         cleanup(&reg);
@@ -684,28 +710,24 @@ mod tests {
         reg.stage("a", &snapshot_bytes()).unwrap();
         reg.stage("b", &snapshot_bytes()).unwrap();
         let header = vec!["A1".to_string(), "A2".to_string()];
-        let q = vec![vec![Some(4.5), None]];
+        let q = [Some(4.5), None];
 
         // Touch a, learn into it, then touch b (evicting a at cap 1).
-        let before = reg.impute("a", &header, q.clone()).unwrap()[0]
-            .clone()
-            .unwrap();
+        let before = fill(&reg, "a", &header, &q);
         assert_eq!(
             reg.learn("a", &header, vec![vec![4.6, 2.0]]).unwrap(),
             Ok(1)
         );
-        let after_learn = reg.impute("a", &header, q.clone()).unwrap()[0]
-            .clone()
-            .unwrap();
+        let after_learn = fill(&reg, "a", &header, &q);
         assert_ne!(before[1].to_bits(), after_learn[1].to_bits());
 
-        let _ = reg.impute("b", &header, q.clone()).unwrap();
+        let _ = fill(&reg, "b", &header, &q);
         assert!(!reg.info("a").unwrap().resident);
         assert!(reg.info("b").unwrap().resident);
 
         // Reactivating a replays the checkpointed learn: same bits as the
         // live model served before eviction.
-        let revived = reg.impute("a", &header, q).unwrap()[0].clone().unwrap();
+        let revived = fill(&reg, "a", &header, &q);
         assert_eq!(after_learn[1].to_bits(), revived[1].to_bits());
         assert_eq!(reg.info("a").unwrap().absorbed, 1);
         cleanup(&reg);
@@ -716,10 +738,8 @@ mod tests {
         let reg = temp_registry("swap", 2);
         reg.stage("m", &snapshot_bytes()).unwrap();
         let header = vec!["A1".to_string(), "A2".to_string()];
-        let q = vec![vec![Some(4.5), None]];
-        let v1 = reg.impute("m", &header, q.clone()).unwrap()[0]
-            .clone()
-            .unwrap();
+        let q = [Some(4.5), None];
+        let v1 = fill(&reg, "m", &header, &q);
 
         // Build a distinguishable second version (two tuples absorbed).
         let mut next = fitted();
@@ -734,13 +754,53 @@ mod tests {
 
         let out = reg.stage("m", &v2_bytes).unwrap();
         assert!(out.swapped);
-        let v2 = reg.impute("m", &header, q).unwrap()[0].clone().unwrap();
+        let v2 = fill(&reg, "m", &header, &q);
         assert_eq!(v2[1].to_bits(), expected[1].to_bits());
         assert_ne!(v1[1].to_bits(), v2[1].to_bits());
         // The file on disk is the new version too.
-        let disk = std::fs::read(reg.dir().join("m.iim")).unwrap();
+        let disk = std::fs::read(reg.dir().unwrap().join("m.iim")).unwrap();
         assert_eq!(disk, v2_bytes);
         cleanup(&reg);
+    }
+
+    #[test]
+    fn a_single_model_registry_serves_default_and_touches_no_files() {
+        let header = vec!["A1".to_string(), "A2".to_string()];
+        let reg = Registry::single(
+            fitted(),
+            header.clone(),
+            iim_persist::FORMAT_VERSION,
+            0,
+            None,
+            &RegistryConfig::default(),
+        )
+        .unwrap();
+        assert!(reg.dir().is_none());
+        let q = [Some(5.0), None];
+        let direct = fitted().impute_one(&q).unwrap();
+        assert_eq!(
+            fill(&reg, DEFAULT_MODEL, &header, &q)[1].to_bits(),
+            direct[1].to_bits()
+        );
+
+        // No directory: no other model, and nothing to stage or delete.
+        assert!(matches!(
+            reg.impute_block("other", &header, block(2, &q)),
+            Err(RegistryError::UnknownModel(_))
+        ));
+        assert!(matches!(
+            reg.stage(DEFAULT_MODEL, &snapshot_bytes()),
+            Err(RegistryError::UnknownModel(_))
+        ));
+        assert!(matches!(
+            reg.delete(DEFAULT_MODEL),
+            Err(RegistryError::UnknownModel(_))
+        ));
+        assert_eq!(reg.info(DEFAULT_MODEL).unwrap().arity, Some(2));
+        assert_eq!(
+            fill(&reg, DEFAULT_MODEL, &header, &q)[1].to_bits(),
+            direct[1].to_bits()
+        );
     }
 
     #[test]
@@ -752,7 +812,7 @@ mod tests {
         ));
         assert!(reg.names().unwrap().is_empty());
         // No temp litter either.
-        let leftovers: Vec<_> = std::fs::read_dir(reg.dir()).unwrap().collect();
+        let leftovers: Vec<_> = std::fs::read_dir(reg.dir().unwrap()).unwrap().collect();
         assert!(leftovers.is_empty(), "{leftovers:?}");
         cleanup(&reg);
     }

@@ -1,27 +1,31 @@
 //! The daemon: a TCP accept loop routing HTTP requests onto the
 //! micro-batching queue(s).
 //!
-//! # Endpoints — single-model mode (`iim serve MODEL.iim`)
+//! # Endpoints
 //!
-//! | Method | Path       | Body | Response |
-//! |---|---|---|---|
-//! | `GET`  | `/healthz` | —    | `200 ok` once the model is loaded |
-//! | `GET`  | `/info`    | —    | `200` JSON: mode, method name, arity, worker threads, absorb support, absorbed-tuple count, snapshot format version, connections accepted |
-//! | `POST` | `/impute`  | CSV with header (the `iim-data` row wire format: missing cells empty/`?`/`NA`) | `200` the completed CSV — **byte-identical** to `iim impute` on the same queries with the same model |
-//! | `POST` | `/learn`   | CSV with header, every cell present | `200` JSON: tuples absorbed by this request and in total |
-//!
-//! # Endpoints — registry mode (`iim serve --models-dir DIR`)
+//! Every request is served through one [`Registry`]. `iim serve MODEL.iim`
+//! binds a registry without a directory whose one tenant, `default`, is
+//! the loaded model ([`Registry::single`]); `iim serve --models-dir DIR`
+//! binds a registry over a directory of `<name>.iim` snapshots. Routes
+//! marked *dir* need `--models-dir`; without it they answer `404` with a
+//! hint.
 //!
 //! | Method | Path | Body | Response |
 //! |---|---|---|---|
-//! | `GET`    | `/healthz` | — | `200 ok` |
-//! | `GET`    | `/info`    | — | `200` JSON registry summary (model count, resident count, cap, connections accepted) |
-//! | `GET`    | `/models`  | — | `200` JSON: every model's card (name, method, snapshot version, resident, absorbed) |
-//! | `PUT`    | `/models/{name}` | raw snapshot bytes | `200` staged; a resident model is **hot-swapped atomically** (see below) |
-//! | `DELETE` | `/models/{name}` | — | `200` model removed (in-flight requests drain first) |
-//! | `GET`    | `/models/{name}/info` | — | `200` JSON card incl. schema |
-//! | `POST`   | `/models/{name}/impute` | CSV | as `/impute`, against that model (activates it if cold) |
-//! | `POST`   | `/models/{name}/learn`  | CSV | as `/learn`, against that model; each tuple is checkpointed to its snapshot before the reply |
+//! | `GET`  | `/healthz` | — | `200 ok` once the daemon is accepting |
+//! | `GET`  | `/info`    | — | `200` JSON. Single-model: mode, method name, arity, worker threads, absorb support, absorbed-tuple count, snapshot format version. With a directory: model count, resident count, cap, worker threads. Both: connections accepted and the overload limits and counters below |
+//! | `POST` | `/impute`  | CSV with header (the `iim-data` row wire format: missing cells empty/`?`/`NA`) | `200` the completed CSV from model `default` — **byte-identical** to `iim impute` on the same queries with the same model |
+//! | `POST` | `/learn`   | CSV with header, every cell present | `200` JSON: tuples absorbed into model `default` by this request and in total |
+//! | `GET`    | `/models` (*dir*) | — | `200` JSON: every model's card (name, method, snapshot version, resident, absorbed) |
+//! | `PUT`    | `/models/{name}` (*dir*) | raw snapshot bytes | `200` staged; a resident model is **hot-swapped atomically** (see below) |
+//! | `DELETE` | `/models/{name}` (*dir*) | — | `200` model removed (in-flight requests drain first) |
+//! | `GET`    | `/models/{name}/info` (*dir*) | — | `200` JSON card incl. schema |
+//! | `POST`   | `/models/{name}/impute` (*dir*) | CSV | as `/impute`, against that model (activates it if cold) |
+//! | `POST`   | `/models/{name}/learn` (*dir*) | CSV | as `/learn`, against that model; each tuple is checkpointed to its snapshot before the reply |
+//!
+//! With a directory, `/impute` and `/learn` serve `DIR/default.iim` exactly
+//! as `/models/default/…` does, and answer `404` `unknown_model` when
+//! there is no such file.
 //!
 //! Unknown routes answer `404` and known routes with the wrong method
 //! answer `405` (with an `Allow` header), both with a structured JSON
@@ -75,9 +79,9 @@
 //!   beyond the cap is answered with a canned `503` + `Retry-After: 1`
 //!   and closed on the accept thread — no connection thread is spawned,
 //!   so saturating the daemon with connections costs it almost nothing.
-//! - **Bounded queue** ([`ServeConfig::max_queue`]): a request that
-//!   would push the micro-batch queue past its cap is shed with `503` +
-//!   `Retry-After: 1` instead of queueing unboundedly (see
+//! - **Bounded queue** ([`Registry::max_queue`], per tenant): a request
+//!   that would push the micro-batch queue past its cap is shed with
+//!   `503` + `Retry-After: 1` instead of queueing unboundedly (see
 //!   [`crate::batch::SubmitRejected`]).
 //! - **Write timeouts** ([`ServeConfig::write_timeout`]): a peer that
 //!   stops draining its socket fails the response write instead of
@@ -89,9 +93,9 @@
 //!   from tail latencies. Shedding never corrupts an answer: a request
 //!   is either refused up front or served bitwise-correctly.
 
-use crate::batch::{Batcher, CheckpointConfig, QueryBlock, SubmitRejected, DEFAULT_MAX_QUEUE};
+use crate::batch::QueryBlock;
 use crate::http::{write_response, HttpError, Request, RequestReader};
-use crate::registry::{Registry, RegistryError};
+use crate::registry::{Registry, RegistryConfig, RegistryError, DEFAULT_MODEL};
 use iim_data::csv;
 use iim_data::FittedImputer;
 use std::io::Write as _;
@@ -101,28 +105,24 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Daemon configuration (single-model mode; registry mode reads `addr`,
-/// `threads`, and the overload/timeout knobs).
+/// Daemon configuration: the listener and its connection-level limits.
+/// Only [`Server::bind`] reads `threads` and `schema`; a registry passed
+/// to [`Server::bind_registry`] carries its models' schemas, worker
+/// threads, queue cap and checkpointing itself.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Bind address, e.g. `127.0.0.1:7878` (port `0` picks an ephemeral
     /// port — see [`Server::local_addr`]).
     pub addr: String,
-    /// Impute-pool worker threads (`0` = the process default).
+    /// Impute-pool worker threads of the model [`Server::bind`] serves
+    /// (`0` = the process default).
     pub threads: usize,
-    /// Training column names (e.g. from the snapshot's
-    /// `SnapshotInfo::schema`). Non-empty: request headers must match
-    /// exactly — a reordered or unrelated header would silently impute
-    /// from transposed features. Empty: only arity is checked.
+    /// Training column names of the model [`Server::bind`] serves (e.g.
+    /// from the snapshot's `SnapshotInfo::schema`). Non-empty: request
+    /// headers must match exactly — a reordered or unrelated header would
+    /// silently impute from transposed features. Empty: only arity is
+    /// checked.
     pub schema: Vec<String>,
-    /// Append absorbed tuples to a snapshot file as delta records, making
-    /// restarts cheap: the next `iim serve` load replays the delta instead
-    /// of relearning. `None` disables checkpointing.
-    pub checkpoint: Option<CheckpointConfig>,
-    /// Snapshot container format version reported by `GET /info` (the
-    /// version the served model was loaded from; models fitted in-process
-    /// report the current write version).
-    pub snapshot_version: u16,
     /// Open-connection cap, enforced at accept: a connection beyond the
     /// cap gets a canned `503` + `Retry-After` and is closed without
     /// spawning a thread. `0` = unlimited (the default).
@@ -135,15 +135,6 @@ pub struct ServeConfig {
     /// its socket fails the response write and is evicted instead of
     /// pinning the connection thread. `0` disables. Default 60 s.
     pub write_timeout: Duration,
-    /// Micro-batch queue cap ([`Batcher::set_max_queue`]): submits
-    /// beyond it are shed with `503` + `Retry-After`. `0` = unbounded.
-    /// Default [`DEFAULT_MAX_QUEUE`].
-    pub max_queue: usize,
-    /// Torn-tail recoveries observed while loading the served snapshot
-    /// (0 or 1; see `iim_persist::SnapshotInfo::recovered_at`), seeded
-    /// into the `/info` `"recovered"` counter so operators see that a
-    /// crash was survived.
-    pub recovered: usize,
 }
 
 impl Default for ServeConfig {
@@ -152,20 +143,17 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:7878".into(),
             threads: 0,
             schema: Vec::new(),
-            checkpoint: None,
-            snapshot_version: iim_persist::FORMAT_VERSION,
             max_connections: 0,
             read_timeout: Duration::from_secs(60),
             write_timeout: Duration::from_secs(60),
-            max_queue: DEFAULT_MAX_QUEUE,
-            recovered: 0,
         }
     }
 }
 
 /// Operational state shared by the accept loop and every connection
-/// thread: the degradation counters surfaced by `GET /info`, plus the
-/// limits they enforce.
+/// thread: the connection-level counters surfaced by `GET /info`, plus
+/// the limits they enforce. Queue-level limits and counters live in the
+/// [`Registry`].
 struct Ops {
     /// Connections accepted and admitted since startup.
     accepted: AtomicUsize,
@@ -176,11 +164,7 @@ struct Ops {
     shed: AtomicUsize,
     /// Connections evicted because a response write failed or timed out.
     evicted: AtomicUsize,
-    /// Torn-tail snapshot recoveries observed (startup load plus, in
-    /// registry mode, lazy activations).
-    recovered: AtomicUsize,
     max_connections: usize,
-    max_queue: usize,
     read_timeout: Duration,
     write_timeout: Duration,
 }
@@ -192,9 +176,7 @@ impl Ops {
             active: AtomicUsize::new(0),
             shed: AtomicUsize::new(0),
             evicted: AtomicUsize::new(0),
-            recovered: AtomicUsize::new(cfg.recovered),
             max_connections: cfg.max_connections,
-            max_queue: cfg.max_queue,
             read_timeout: cfg.read_timeout,
             write_timeout: cfg.write_timeout,
         })
@@ -207,21 +189,10 @@ fn timeout_opt(d: Duration) -> Option<Duration> {
     (!d.is_zero()).then_some(d)
 }
 
-/// What the accept loop routes requests onto.
-enum Backend {
-    Single {
-        batcher: Arc<Batcher>,
-        schema: Arc<[String]>,
-        snapshot_version: u16,
-    },
-    Registry(Arc<Registry>),
-}
-
 /// A bound (but not yet accepting) daemon.
 pub struct Server {
     listener: TcpListener,
-    backend: Arc<Backend>,
-    threads: usize,
+    registry: Arc<Registry>,
     stop: Arc<AtomicBool>,
     ops: Arc<Ops>,
 }
@@ -242,7 +213,7 @@ impl ServerHandle {
 
     /// Stops the accept loop and joins the daemon thread. In-flight
     /// batches finish and buffered checkpoint deltas flush before this
-    /// returns (the backend drains on drop).
+    /// returns (the registry's tenants drain on drop).
     pub fn shutdown(self) {
         self.stop.store(true, Ordering::SeqCst);
         // Nudge the (blocking) accept loop awake.
@@ -252,35 +223,35 @@ impl ServerHandle {
 }
 
 impl Server {
-    /// Binds the daemon and starts its batcher, which takes ownership of
-    /// the model (the model is ready to serve as soon as this returns;
-    /// `run`/`spawn` only accept sockets).
+    /// Binds a daemon serving `model` alone, without checkpointing: a
+    /// [`Registry::single`] with `cfg.threads`, `cfg.schema` and the
+    /// default queue cap, then [`Server::bind_registry`]. The model is
+    /// ready to serve as soon as this returns; `run`/`spawn` only accept
+    /// sockets.
     pub fn bind(model: Box<dyn FittedImputer>, cfg: &ServeConfig) -> std::io::Result<Self> {
-        let listener = TcpListener::bind(&cfg.addr)?;
-        let batcher = Arc::new(Batcher::start(model, cfg.threads, cfg.checkpoint.clone())?);
-        batcher.set_max_queue(cfg.max_queue);
-        Ok(Self {
-            listener,
-            backend: Arc::new(Backend::Single {
-                batcher,
-                schema: cfg.schema.clone().into(),
-                snapshot_version: cfg.snapshot_version,
-            }),
-            threads: cfg.threads,
-            stop: Arc::new(AtomicBool::new(false)),
-            ops: Ops::new(cfg),
-        })
+        let registry = Registry::single(
+            model,
+            cfg.schema.clone(),
+            iim_persist::FORMAT_VERSION,
+            0,
+            None,
+            &RegistryConfig {
+                threads: cfg.threads,
+                ..RegistryConfig::default()
+            },
+        )?;
+        Self::bind_registry(registry, cfg)
     }
 
-    /// Binds the daemon in registry mode: requests address models by name
-    /// under `/models/{name}/…` and the admin surface is live. Models
-    /// activate lazily — binding costs nothing per model.
+    /// Binds the daemon over `registry`. With a directory, requests
+    /// address models by name under `/models/{name}/…`, the admin surface
+    /// is live, and models activate lazily — binding costs nothing per
+    /// model.
     pub fn bind_registry(registry: Arc<Registry>, cfg: &ServeConfig) -> std::io::Result<Self> {
         let listener = TcpListener::bind(&cfg.addr)?;
         Ok(Self {
             listener,
-            backend: Arc::new(Backend::Registry(registry)),
-            threads: cfg.threads,
+            registry,
             stop: Arc::new(AtomicBool::new(false)),
             ops: Ops::new(cfg),
         })
@@ -289,40 +260,6 @@ impl Server {
     /// The bound address (resolves port `0`).
     pub fn local_addr(&self) -> std::io::Result<std::net::SocketAddr> {
         self.listener.local_addr()
-    }
-
-    /// One line describing what's being served (for startup banners).
-    pub fn describe(&self) -> String {
-        match self.backend.as_ref() {
-            Backend::Single { batcher, .. } => {
-                format!("{} (arity {})", batcher.model_name(), batcher.arity())
-            }
-            Backend::Registry(reg) => {
-                let (models, _) = reg.summary();
-                format!(
-                    "registry {} ({models} models, max {} resident)",
-                    reg.dir().display(),
-                    reg.max_resident()
-                )
-            }
-        }
-    }
-
-    /// The served model's method name (single-model mode; registry mode
-    /// reports `"registry"`).
-    pub fn model_name(&self) -> String {
-        match self.backend.as_ref() {
-            Backend::Single { batcher, .. } => batcher.model_name(),
-            Backend::Registry(_) => "registry".into(),
-        }
-    }
-
-    /// The served model's attribute count (0 in registry mode).
-    pub fn arity(&self) -> usize {
-        match self.backend.as_ref() {
-            Backend::Single { batcher, .. } => batcher.arity(),
-            Backend::Registry(_) => 0,
-        }
     }
 
     /// Runs the accept loop on the calling thread until `stop` is set
@@ -348,9 +285,8 @@ impl Server {
             }
             self.ops.accepted.fetch_add(1, Ordering::Relaxed);
             self.ops.active.fetch_add(1, Ordering::SeqCst);
-            let backend = Arc::clone(&self.backend);
+            let registry = Arc::clone(&self.registry);
             let ops = Arc::clone(&self.ops);
-            let threads = self.threads;
             // Thread-per-connection: with keep-alive, one thread serves a
             // client's whole request stream; the heavy lifting happens on
             // the shared pool, so this stays cheap and simple.
@@ -367,17 +303,14 @@ impl Server {
                         }
                     }
                     let _guard = ActiveGuard(Arc::clone(&ops));
-                    handle_connection(stream, backend, threads, ops);
+                    handle_connection(stream, registry, ops);
                 });
             if spawned.is_err() {
                 self.ops.active.fetch_sub(1, Ordering::SeqCst);
             }
         }
-        match self.backend.as_ref() {
-            Backend::Single { batcher, .. } => batcher.shutdown(),
-            Backend::Registry(reg) => reg.shutdown(),
-        }
-        // Dropping `self.backend` (last ref once connections finish)
+        self.registry.shutdown();
+        // Dropping `self.registry` (last ref once connections finish)
         // joins the batcher threads: queues drain, checkpoints flush.
     }
 
@@ -528,7 +461,7 @@ fn method_not_allowed(conn: &mut Conn, allow: &str, detail: &str) {
     );
 }
 
-fn handle_connection(stream: TcpStream, backend: Arc<Backend>, threads: usize, ops: Arc<Ops>) {
+fn handle_connection(stream: TcpStream, registry: Arc<Registry>, ops: Arc<Ops>) {
     // A stalled client must not pin the thread forever: an idle
     // keep-alive connection past the read timeout closes cleanly between
     // requests, and a peer that stops draining its socket fails the
@@ -575,14 +508,14 @@ fn handle_connection(stream: TcpStream, backend: Arc<Backend>, threads: usize, o
             }
         };
         conn.keep_alive = request.keep_alive;
-        handle_request(&mut conn, &request, &backend, threads);
+        handle_request(&mut conn, &request, &registry);
         if !conn.keep_alive {
             return;
         }
     }
 }
 
-fn handle_request(conn: &mut Conn, request: &Request, backend: &Backend, threads: usize) {
+fn handle_request(conn: &mut Conn, request: &Request, reg: &Registry) {
     // Route on path segments (query strings ignored); unknown paths are
     // 404, known paths with the wrong method are 405 + Allow.
     let path = request.path.split('?').next().unwrap_or("");
@@ -593,52 +526,22 @@ fn handle_request(conn: &mut Conn, request: &Request, backend: &Backend, threads
             conn.respond(200, "OK", "text/plain", b"ok\n");
         }
         (_, ["healthz"]) => method_not_allowed(conn, "GET", "/healthz is GET-only"),
-        ("GET", ["info"]) => handle_info(conn, backend, threads),
+        ("GET", ["info"]) => handle_info(conn, reg),
         (_, ["info"]) => method_not_allowed(conn, "GET", "/info is GET-only"),
-        (m, ["impute"]) | (m, ["learn"]) => {
-            let single = segments[0];
-            match backend {
-                Backend::Registry(_) => not_found(
-                    conn,
-                    &format!(
-                        "registry mode serves per-model routes: POST /models/{{name}}/{single}"
-                    ),
-                ),
-                Backend::Single {
-                    batcher, schema, ..
-                } => {
-                    if m != "POST" {
-                        return method_not_allowed(
-                            conn,
-                            "POST",
-                            &format!("/{single} is POST-only"),
-                        );
-                    }
-                    if single == "impute" {
-                        handle_impute(conn, request, batcher, schema);
-                    } else {
-                        handle_learn(conn, request, batcher, schema);
-                    }
-                }
-            }
-        }
-        (m, ["models", ..]) => match backend {
-            Backend::Single { .. } => not_found(
-                conn,
-                "model registry routes need registry mode (iim serve --models-dir)",
-            ),
-            Backend::Registry(reg) => handle_models(conn, request, m, &segments, reg),
-        },
+        ("POST", ["impute"]) => handle_registry_impute(conn, request, reg, DEFAULT_MODEL),
+        (_, ["impute"]) => method_not_allowed(conn, "POST", "/impute is POST-only"),
+        ("POST", ["learn"]) => handle_registry_learn(conn, request, reg, DEFAULT_MODEL),
+        (_, ["learn"]) => method_not_allowed(conn, "POST", "/learn is POST-only"),
+        (_, ["models", ..]) if reg.dir().is_none() => not_found(
+            conn,
+            "model registry routes need registry mode (iim serve --models-dir)",
+        ),
+        (m, ["models", ..]) => handle_models(conn, request, m, &segments, reg),
         _ => not_found(conn, &format!("no route for {method} {path}")),
     }
 }
 
-fn handle_info(conn: &mut Conn, backend: &Backend, threads: usize) {
-    let resolved = if threads > 0 {
-        threads
-    } else {
-        iim_exec::default_threads()
-    };
+fn handle_info(conn: &mut Conn, reg: &Registry) {
     let ops = &conn.ops;
     // The operational tail every mode reports: the admission limits in
     // force and the degradation counters they feed, so a load test can
@@ -651,47 +554,38 @@ fn handle_info(conn: &mut Conn, backend: &Backend, threads: usize) {
         ops.accepted.load(Ordering::Relaxed),
         ops.active.load(Ordering::SeqCst),
         ops.max_connections,
-        ops.max_queue,
+        reg.max_queue(),
         ops.read_timeout.as_secs(),
         ops.write_timeout.as_secs(),
         ops.shed.load(Ordering::Relaxed),
         ops.evicted.load(Ordering::Relaxed),
-        ops.recovered.load(Ordering::Relaxed) + recovered_extra(backend),
+        reg.recovered(),
     );
-    let body = match backend {
-        Backend::Single {
-            batcher,
-            snapshot_version,
-            ..
-        } => format!(
+    let body = if reg.dir().is_none() {
+        let card = match reg.info(DEFAULT_MODEL) {
+            Ok(card) => card,
+            Err(e) => return registry_error(conn, &e),
+        };
+        format!(
             "{{\"mode\":\"single\",\"method\":\"{}\",\"arity\":{},\"threads\":{},\
              \"can_absorb\":{},\"absorbed\":{},\"snapshot_version\":{},{ops_json}}}\n",
-            batcher.model_name(),
-            batcher.arity(),
-            resolved,
-            batcher.can_absorb(),
-            batcher.absorbed(),
-            snapshot_version,
-        ),
-        Backend::Registry(reg) => {
-            let (models, resident) = reg.summary();
-            format!(
-                "{{\"mode\":\"registry\",\"models\":{models},\"resident\":{resident},\
-                 \"max_resident\":{},\"threads\":{resolved},{ops_json}}}\n",
-                reg.max_resident(),
-            )
-        }
+            card.method,
+            card.arity.unwrap_or(0),
+            reg.threads(),
+            card.can_absorb,
+            card.absorbed,
+            card.snapshot_version,
+        )
+    } else {
+        let (models, resident) = reg.summary();
+        format!(
+            "{{\"mode\":\"registry\",\"models\":{models},\"resident\":{resident},\
+             \"max_resident\":{},\"threads\":{},{ops_json}}}\n",
+            reg.max_resident(),
+            reg.threads(),
+        )
     };
     conn.respond(200, "OK", "application/json", body.as_bytes());
-}
-
-/// Registry-mode activations can themselves recover torn snapshot tails;
-/// fold those into the `/info` `"recovered"` counter.
-fn recovered_extra(backend: &Backend) -> usize {
-    match backend {
-        Backend::Single { .. } => 0,
-        Backend::Registry(reg) => reg.recovered(),
-    }
 }
 
 /// Routes `/models…` (registry mode only).
@@ -700,7 +594,7 @@ fn handle_models(
     request: &Request,
     method: &str,
     segments: &[&str],
-    reg: &Arc<Registry>,
+    reg: &Registry,
 ) {
     match (method, segments) {
         ("GET", ["models"]) => match reg.list() {
@@ -779,11 +673,9 @@ fn model_card_json(card: &crate::registry::ModelInfo, with_schema: bool) -> Stri
 
 /// Maps a [`RegistryError`] to its HTTP response.
 fn registry_error(conn: &mut Conn, e: &RegistryError) {
-    if matches!(e, RegistryError::Overloaded) {
-        // Queue-cap shedding keeps its Retry-After hint in registry mode.
-        return overloaded(conn);
-    }
     let (status, reason, label) = match e {
+        // Queue-cap shedding keeps its plain-text Retry-After answer.
+        RegistryError::Overloaded => return overloaded(conn),
         RegistryError::BadName(_) => (400, "Bad Request", "bad_name"),
         RegistryError::UnknownModel(_) => (404, "Not Found", "unknown_model"),
         RegistryError::SchemaMismatch { .. } => (400, "Bad Request", "schema_mismatch"),
@@ -791,7 +683,6 @@ fn registry_error(conn: &mut Conn, e: &RegistryError) {
         RegistryError::StageFailed(_) => (500, "Internal Server Error", "stage_failed"),
         RegistryError::Io(_) => (500, "Internal Server Error", "io"),
         RegistryError::Unavailable => (503, "Service Unavailable", "unavailable"),
-        RegistryError::Overloaded => unreachable!("handled above"),
     };
     let body = format!(
         "{{\"error\":{},\"detail\":{}}}\n",
@@ -810,17 +701,6 @@ fn bad_request(conn: &mut Conn, msg: String) {
     );
 }
 
-fn backend_unavailable(conn: &mut Conn) {
-    // Shutdown in progress, or the batcher died on a panicking model
-    // (its poison guard fails requests instead of wedging them).
-    conn.respond(
-        503,
-        "Service Unavailable",
-        "text/plain",
-        b"imputation backend unavailable\n",
-    );
-}
-
 /// The micro-batch queue is at its cap: shed the request with a
 /// `Retry-After` hint instead of queueing unboundedly. Nothing ran, so
 /// retrying is always safe.
@@ -835,21 +715,12 @@ fn overloaded(conn: &mut Conn) {
     );
 }
 
-/// Routes a [`SubmitRejected`] to its HTTP response.
-fn submit_rejected(conn: &mut Conn, e: SubmitRejected) {
-    match e {
-        SubmitRejected::Overloaded => overloaded(conn),
-        SubmitRejected::Shutdown => backend_unavailable(conn),
-    }
-}
-
 /// Parses a request body shared by `/impute` and `/learn`: a CSV header
-/// (validated against the snapshot schema when one is on board) plus the
-/// data lines with their original line numbers (blank lines skipped).
+/// plus the data lines with their original line numbers (blank lines
+/// skipped). The registry checks the header against the model's schema.
 fn parse_csv_body<'a>(
     conn: &mut Conn,
     request: &'a Request,
-    schema: &[String],
 ) -> Option<(Vec<String>, &'a str, Vec<(usize, &'a str)>)> {
     let Ok(text) = std::str::from_utf8(&request.body) else {
         bad_request(conn, "body is not UTF-8".into());
@@ -861,15 +732,6 @@ fn parse_csv_body<'a>(
         return None;
     };
     let names = csv::parse_header(header);
-    // With a snapshot schema on board, a reordered or unrelated header is
-    // a hard error — imputing it would silently transpose features.
-    if !schema.is_empty() && names != schema {
-        bad_request(
-            conn,
-            format!("query header {names:?} does not match the model's schema {schema:?}"),
-        );
-        return None;
-    }
     let data: Vec<(usize, &str)> = lines
         .enumerate()
         .filter(|(_, line)| !line.trim().is_empty())
@@ -878,14 +740,13 @@ fn parse_csv_body<'a>(
     Some((names, header, data))
 }
 
-/// Parses impute query rows into one flat [`QueryBlock`] — cells go
-/// straight from the wire text into the block's buffer, no per-row
-/// allocation. `None` means the 400 was already sent.
-fn parse_impute_rows(
-    conn: &mut Conn,
-    names: &[String],
-    data: Vec<(usize, &str)>,
-) -> Option<(QueryBlock, Vec<usize>)> {
+/// Serves `/impute` against model `name`. The query rows parse into one
+/// flat [`QueryBlock`] — cells go straight from the wire text into the
+/// block's buffer, no per-row allocation.
+fn handle_registry_impute(conn: &mut Conn, request: &Request, reg: &Registry, name: &str) {
+    let Some((names, header, data)) = parse_csv_body(conn, request) else {
+        return;
+    };
     // Parse all rows up front so a syntax error rejects the request
     // before any imputation runs. Original body line numbers ride along
     // (blank lines are skipped) so errors point at the client's input.
@@ -893,80 +754,41 @@ fn parse_impute_rows(
     let mut linenos: Vec<usize> = Vec::with_capacity(data.len());
     for (lineno, line) in data {
         if let Err(e) = csv::parse_row_into(line, names.len(), lineno, rows.cells_mut()) {
-            bad_request(conn, e.to_string());
-            return None;
+            return bad_request(conn, e.to_string());
         }
         linenos.push(lineno);
     }
-    Some((rows, linenos))
-}
-
-/// Writes the completed CSV (or the 422 for the first failing row).
-fn respond_impute_results(
-    conn: &mut Conn,
-    header: &str,
-    body_capacity: usize,
-    results: &[crate::batch::RowResult],
-    linenos: &[usize],
-) {
+    let results = match reg.impute_block(name, &names, rows) {
+        Ok(results) => results,
+        Err(e) => return registry_error(conn, &e),
+    };
     // One failing row fails the request (mirroring the CLI, which aborts
     // on the first impute error) — but with the row number attached.
-    let mut body = Vec::with_capacity(body_capacity);
+    let mut body = Vec::with_capacity(request.body.len());
     let _ = writeln!(body, "{header}");
-    for (i, result) in results.iter().enumerate() {
+    for (result, lineno) in results.iter().zip(&linenos) {
         match result {
             Ok(values) => {
                 let _ = writeln!(body, "{}", csv::format_row(values));
             }
             Err(e) => {
-                conn.respond(
+                return conn.respond(
                     422,
                     "Unprocessable Entity",
                     "text/plain",
-                    format!("imputation failed on line {}: {e}\n", linenos[i]).as_bytes(),
+                    format!("imputation failed on line {lineno}: {e}\n").as_bytes(),
                 );
-                return;
             }
         }
     }
     conn.respond(200, "OK", "text/csv", &body);
 }
 
-fn handle_impute(conn: &mut Conn, request: &Request, batcher: &Batcher, schema: &[String]) {
-    let Some((names, header, data)) = parse_csv_body(conn, request, schema) else {
+/// Serves `/learn` against model `name`.
+fn handle_registry_learn(conn: &mut Conn, request: &Request, reg: &Registry, name: &str) {
+    let Some((names, _, data)) = parse_csv_body(conn, request) else {
         return;
     };
-    let Some((rows, linenos)) = parse_impute_rows(conn, &names, data) else {
-        return;
-    };
-    let results = match batcher.impute_block(rows) {
-        Ok(results) => results,
-        Err(e) => return submit_rejected(conn, e),
-    };
-    respond_impute_results(conn, header, request.body.len(), &results, &linenos);
-}
-
-fn handle_registry_impute(conn: &mut Conn, request: &Request, reg: &Arc<Registry>, name: &str) {
-    // Schema validation happens inside the registry (each model has its
-    // own schema), so no local check here.
-    let Some((names, header, data)) = parse_csv_body(conn, request, &[]) else {
-        return;
-    };
-    let Some((rows, linenos)) = parse_impute_rows(conn, &names, data) else {
-        return;
-    };
-    match reg.impute_block(name, &names, rows) {
-        Ok(results) => respond_impute_results(conn, header, request.body.len(), &results, &linenos),
-        Err(e) => registry_error(conn, &e),
-    }
-}
-
-/// Parses learn rows (complete tuples); `None` means the 400 was sent.
-fn parse_learn_rows(
-    conn: &mut Conn,
-    names: &[String],
-    data: Vec<(usize, &str)>,
-) -> Option<(Vec<Vec<f64>>, Vec<usize>)> {
     // Learning rows must be complete — a missing cell has no value to
     // absorb. All rows are validated before any absorb runs, so a 400
     // never leaves the model partially updated.
@@ -975,89 +797,46 @@ fn parse_learn_rows(
     for (lineno, line) in data {
         let parsed = match csv::parse_row(line, names.len(), lineno) {
             Ok(row) => row,
-            Err(e) => {
-                bad_request(conn, e.to_string());
-                return None;
-            }
+            Err(e) => return bad_request(conn, e.to_string()),
         };
         let mut row = Vec::with_capacity(parsed.len());
         for (col, cell) in parsed.into_iter().enumerate() {
-            match cell {
-                Some(v) => row.push(v),
-                None => {
-                    bad_request(
-                        conn,
-                        format!(
-                            "line {lineno}, column {}: learning rows must be complete \
-                             (missing cell)",
-                            col + 1
-                        ),
-                    );
-                    return None;
-                }
-            }
+            let Some(v) = cell else {
+                return bad_request(
+                    conn,
+                    format!(
+                        "line {lineno}, column {}: learning rows must be complete \
+                         (missing cell)",
+                        col + 1
+                    ),
+                );
+            };
+            row.push(v);
         }
         rows.push(row);
         linenos.push(lineno);
     }
     if rows.is_empty() {
-        bad_request(conn, "no learning rows in body".into());
-        return None;
+        return bad_request(conn, "no learning rows in body".into());
     }
-    Some((rows, linenos))
-}
-
-fn respond_learn_reply(
-    conn: &mut Conn,
-    reply: crate::batch::LearnReply,
-    absorbed_here: usize,
-    linenos: &[usize],
-) {
-    match reply {
-        Ok(total) => {
+    let absorbed_here = rows.len();
+    match reg.learn(name, &names, rows) {
+        Ok(Ok(total)) => {
             let body = format!("{{\"absorbed\":{absorbed_here},\"total_absorbed\":{total}}}\n");
             conn.respond(200, "OK", "application/json", body.as_bytes());
         }
-        Err((i, e)) => {
+        Ok(Err((i, e))) => {
             conn.respond(
                 422,
                 "Unprocessable Entity",
                 "text/plain",
                 format!(
-                    "learning failed on line {}: {e} ({} earlier rows were absorbed)\n",
-                    linenos[i], i
+                    "learning failed on line {}: {e} ({i} earlier rows were absorbed)\n",
+                    linenos[i]
                 )
                 .as_bytes(),
             );
         }
-    }
-}
-
-fn handle_learn(conn: &mut Conn, request: &Request, batcher: &Batcher, schema: &[String]) {
-    let Some((names, _, data)) = parse_csv_body(conn, request, schema) else {
-        return;
-    };
-    let Some((rows, linenos)) = parse_learn_rows(conn, &names, data) else {
-        return;
-    };
-    let absorbed_here = rows.len();
-    let reply = match batcher.learn(rows) {
-        Ok(reply) => reply,
-        Err(e) => return submit_rejected(conn, e),
-    };
-    respond_learn_reply(conn, reply, absorbed_here, &linenos);
-}
-
-fn handle_registry_learn(conn: &mut Conn, request: &Request, reg: &Arc<Registry>, name: &str) {
-    let Some((names, _, data)) = parse_csv_body(conn, request, &[]) else {
-        return;
-    };
-    let Some((rows, linenos)) = parse_learn_rows(conn, &names, data) else {
-        return;
-    };
-    let absorbed_here = rows.len();
-    match reg.learn(name, &names, rows) {
-        Ok(reply) => respond_learn_reply(conn, reply, absorbed_here, &linenos),
         Err(e) => registry_error(conn, &e),
     }
 }

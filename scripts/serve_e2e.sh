@@ -22,7 +22,9 @@
 #
 # Then the registry leg: stage two models into a `--models-dir` registry,
 # serve both from one daemon, byte-diff the per-model routes against the
-# single-model references, hot-swap a tenant under request load (every
+# single-model references, check that `POST /impute` serves the tenant
+# `default` byte-identically to `/models/default/impute` and to the
+# single-model daemon, hot-swap a tenant under request load (every
 # response must succeed), and evict/reactivate under `--max-resident 1`.
 #
 # Then the crash-recovery legs: a checkpointing daemon is SIGKILLed
@@ -214,6 +216,8 @@ mkdir -p "$REG"
   || fail "registry: CLI stage alpha failed"
 "$BIN" registry stage --models-dir "$REG" beta "$E2E_DIR/Mean.iim" \
   || fail "registry: CLI stage beta failed"
+"$BIN" registry stage --models-dir "$REG" default "$E2E_DIR/IIM.iim" \
+  || fail "registry: CLI stage default failed"
 # Capture first, grep second: `list | grep -q` lets grep exit on the first
 # match and EPIPE the still-printing CLI (a pipefail failure even on success).
 listing=$("$BIN" registry list --models-dir "$REG") \
@@ -241,6 +245,19 @@ curl -sf --data-binary "@$QUERIES" "http://127.0.0.1:$PORT/models/beta/impute" \
   || fail "registry: /models/beta/impute returned non-2xx"
 cmp "$E2E_DIR/registry.beta.csv" "$E2E_DIR/Mean.expected.csv" \
   || fail "registry: beta diverged from the single-model Mean daemon"
+
+# `POST /impute` is the tenant `default` in registry mode too: the same
+# bytes as its per-model route and as the single-model IIM daemon.
+curl -sf --data-binary "@$QUERIES" "http://127.0.0.1:$PORT/impute" \
+    > "$E2E_DIR/registry.default_alias.csv" \
+  || fail "registry: /impute returned non-2xx"
+curl -sf --data-binary "@$QUERIES" "http://127.0.0.1:$PORT/models/default/impute" \
+    > "$E2E_DIR/registry.default.csv" \
+  || fail "registry: /models/default/impute returned non-2xx"
+cmp "$E2E_DIR/registry.default_alias.csv" "$E2E_DIR/registry.default.csv" \
+  || fail "registry: /impute diverged from /models/default/impute"
+cmp "$E2E_DIR/registry.default_alias.csv" "$E2E_DIR/IIM.served.csv" \
+  || fail "registry: /impute diverged from the single-model IIM daemon"
 
 # Unknown models and unknown routes answer with structured JSON errors.
 curl -s "http://127.0.0.1:$PORT/models/ghost/info" | grep -q '"error":"unknown_model"' \

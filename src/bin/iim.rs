@@ -31,7 +31,9 @@
 //! `iim impute` on the same queries — or, with `--models-dir`, serves a
 //! whole registry of named snapshots (`/models/{name}/impute`, staged and
 //! hot-swapped via `PUT /models/{name}` with zero dropped requests; see
-//! `iim_serve::registry`). The daemon exits `0` on `SIGTERM`/ctrl-c after
+//! `iim_serve::registry`). A single snapshot is a registry whose one
+//! tenant is `default`; `POST /impute` and `POST /learn` serve `default`
+//! in both modes. The daemon exits `0` on `SIGTERM`/ctrl-c after
 //! draining in-flight work. `learn` absorbs complete tuples into
 //! a snapshot offline — the model is updated incrementally (no refit) and
 //! the tuples are appended to the snapshot as delta records, replayed on
@@ -397,7 +399,8 @@ fn fit(args: &[String]) -> ExitCode {
 }
 
 /// `iim serve MODEL.iim` / `iim serve --models-dir DIR`: a long-lived
-/// HTTP daemon over one snapshot or a whole model registry. Exits `0` on
+/// HTTP daemon over one snapshot (a registry whose one tenant is
+/// `default`) or a whole model registry. Exits `0` on
 /// `SIGTERM`/ctrl-c after draining in-flight batches and flushing any
 /// buffered checkpoint deltas (see `iim_serve::shutdown`).
 fn serve_daemon(args: &[String]) -> ExitCode {
@@ -409,40 +412,23 @@ fn serve_daemon(args: &[String]) -> ExitCode {
         }
     };
     let t0 = Instant::now();
-    let (server, source) = if let Some(dir) = flags.models_dir.clone() {
-        // Registry mode: models activate lazily, nothing loads up front.
+    // Both modes serve through one registry: lazily activated tenants of
+    // a models directory, or the loaded snapshot as the tenant `default`.
+    let (registry, source, what) = if let Some(dir) = flags.models_dir.clone() {
         if flags.input.is_some() {
             eprintln!("error: --models-dir and a MODEL.iim are mutually exclusive");
             return ExitCode::from(2);
         }
-        let registry = match iim_serve::Registry::open(iim_serve::RegistryConfig {
-            dir: dir.clone().into(),
-            max_resident: flags.max_resident,
-            threads: flags.threads,
-            max_queue: flags.max_queue,
-        }) {
+        let registry = match open_registry(&flags, &dir) {
             Ok(r) => r,
-            Err(e) => {
-                eprintln!("error opening registry {dir}: {e}");
-                return ExitCode::FAILURE;
-            }
+            Err(code) => return code,
         };
-        let cfg = iim_serve::ServeConfig {
-            addr: flags.addr.clone(),
-            threads: flags.threads,
-            max_connections: flags.max_connections,
-            max_queue: flags.max_queue,
-            read_timeout: flags.read_timeout,
-            write_timeout: flags.write_timeout,
-            ..iim_serve::ServeConfig::default()
-        };
-        match iim_serve::Server::bind_registry(registry, &cfg) {
-            Ok(s) => (s, dir),
-            Err(e) => {
-                eprintln!("error binding {}: {e}", cfg.addr);
-                return ExitCode::FAILURE;
-            }
-        }
+        let (models, _) = registry.summary();
+        let what = format!(
+            "registry {dir} ({models} models, max {} resident)",
+            registry.max_resident()
+        );
+        (registry, dir, what)
     } else {
         let Some(model_path) = flags.input.clone() else {
             eprintln!(
@@ -482,24 +468,39 @@ fn serve_daemon(args: &[String]) -> ExitCode {
                     truncate_to,
                 }
             });
-        let cfg = iim_serve::ServeConfig {
-            addr: flags.addr.clone(),
-            threads: flags.threads,
-            schema: info.schema,
+        let what = format!("{} (arity {})", fitted.name(), fitted.arity());
+        let registry = match iim_serve::Registry::single(
+            fitted,
+            info.schema,
+            info.version,
+            usize::from(info.recovered_at.is_some()),
             checkpoint,
-            snapshot_version: info.version,
-            max_connections: flags.max_connections,
-            max_queue: flags.max_queue,
-            read_timeout: flags.read_timeout,
-            write_timeout: flags.write_timeout,
-            recovered: usize::from(info.recovered_at.is_some()),
-        };
-        match iim_serve::Server::bind(fitted, &cfg) {
-            Ok(s) => (s, model_path),
+            &iim_serve::RegistryConfig {
+                threads: flags.threads,
+                max_queue: flags.max_queue,
+                ..iim_serve::RegistryConfig::default()
+            },
+        ) {
+            Ok(r) => r,
             Err(e) => {
-                eprintln!("error binding {}: {e}", cfg.addr);
+                eprintln!("error starting the model's batcher: {e}");
                 return ExitCode::FAILURE;
             }
+        };
+        (registry, model_path, what)
+    };
+    let cfg = iim_serve::ServeConfig {
+        addr: flags.addr.clone(),
+        max_connections: flags.max_connections,
+        read_timeout: flags.read_timeout,
+        write_timeout: flags.write_timeout,
+        ..iim_serve::ServeConfig::default()
+    };
+    let server = match iim_serve::Server::bind_registry(registry, &cfg) {
+        Ok(s) => s,
+        Err(e) => {
+            eprintln!("error binding {}: {e}", cfg.addr);
+            return ExitCode::FAILURE;
         }
     };
     let load_s = t0.elapsed();
@@ -508,14 +509,13 @@ fn serve_daemon(args: &[String]) -> ExitCode {
         .map(|a| a.to_string())
         .unwrap_or_else(|_| flags.addr.clone());
     let routes = if flags.models_dir.is_some() {
-        "GET/PUT/DELETE /models..., POST /models/{name}/impute|learn"
+        "POST /impute|learn, GET/PUT/DELETE /models..., POST /models/{name}/impute|learn"
     } else {
         "POST /impute, POST /learn"
     };
     eprintln!(
-        "serving {} from {source} (ready in {:.4}s) on http://{addr} — \
+        "serving {what} from {source} (ready in {:.4}s) on http://{addr} — \
          {routes}, GET /healthz, GET /info; SIGTERM/ctrl-c exits cleanly",
-        server.describe(),
         load_s.as_secs_f64(),
     );
     // Park until SIGTERM/SIGINT, then drain: stop accepting, join the
@@ -533,6 +533,23 @@ fn serve_daemon(args: &[String]) -> ExitCode {
     eprintln!("shutdown signal received; draining");
     handle.shutdown();
     ExitCode::SUCCESS
+}
+
+/// Opens `--models-dir DIR` with the registry flags.
+fn open_registry(
+    flags: &Flags,
+    dir: &str,
+) -> Result<std::sync::Arc<iim_serve::Registry>, ExitCode> {
+    iim_serve::Registry::open(iim_serve::RegistryConfig {
+        dir: dir.into(),
+        max_resident: flags.max_resident,
+        threads: flags.threads,
+        max_queue: flags.max_queue,
+    })
+    .map_err(|e| {
+        eprintln!("error opening registry {dir}: {e}");
+        ExitCode::FAILURE
+    })
 }
 
 /// `iim registry list|stage`: offline admin verbs over a models
@@ -554,17 +571,9 @@ fn registry_cmd(args: &[String]) -> ExitCode {
         eprintln!("error: registry {verb} needs --models-dir DIR");
         return ExitCode::from(2);
     };
-    let registry = match iim_serve::Registry::open(iim_serve::RegistryConfig {
-        dir: dir.clone().into(),
-        max_resident: flags.max_resident,
-        threads: flags.threads,
-        max_queue: flags.max_queue,
-    }) {
+    let registry = match open_registry(&flags, &dir) {
         Ok(r) => r,
-        Err(e) => {
-            eprintln!("error opening registry {dir}: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(code) => return code,
     };
     match verb {
         "list" => {

@@ -409,8 +409,9 @@ mod faults {
         registry.stage("m", &v1).unwrap();
         let header = vec!["A1".to_string(), "A2".to_string()];
         let fill = |registry: &iim_serve::Registry| -> u64 {
-            let rows = vec![QUERY.to_vec()];
-            registry.impute("m", &header, rows).unwrap()[0]
+            let mut rows = iim_serve::QueryBlock::with_capacity(QUERY.len(), 1);
+            rows.cells_mut().extend_from_slice(&QUERY);
+            registry.impute_block("m", &header, rows).unwrap()[0]
                 .as_ref()
                 .expect("impute must keep serving")[1]
                 .to_bits()
