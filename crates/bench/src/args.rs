@@ -1,8 +1,6 @@
 //! Minimal flag parsing shared by the experiment binaries (no CLI crate —
 //! a few optional flags do not justify a dependency).
 
-use iim_neighbors::IndexChoice;
-
 /// Parsed common flags.
 #[derive(Debug, Clone, Copy)]
 pub struct Args {
@@ -15,15 +13,11 @@ pub struct Args {
     /// Worker-thread override (`--threads`); `None` leaves the process
     /// default (`IIM_THREADS` / available parallelism) in place.
     pub threads: Option<usize>,
-    /// Neighbor-index override (`--index auto|brute|vptree`),
-    /// plumbed into `IimConfig`/the baselines by the binaries that honour
-    /// it (the `serving` bin benches both variants regardless).
-    pub index: IndexChoice,
 }
 
 impl Args {
-    /// Parses `--seed <u64>`, `--n <usize>`, `--threads <usize>`,
-    /// `--index <auto|brute|vptree>`, `--quick` from `std::env`.
+    /// Parses `--seed <u64>`, `--n <usize>`, `--threads <usize>` and
+    /// `--quick` from `std::env`.
     ///
     /// A `--threads` value is applied immediately via
     /// [`iim_exec::set_default_threads`], so every pool the binary touches
@@ -40,7 +34,6 @@ impl Args {
             n: None,
             quick: false,
             threads: None,
-            index: IndexChoice::Auto,
         };
         let mut it = args;
         while let Some(flag) = it.next() {
@@ -67,16 +60,8 @@ impl Args {
                     out.threads = Some(t);
                     iim_exec::set_default_threads(t);
                 }
-                "--index" => {
-                    out.index = it
-                        .next()
-                        .and_then(|v| IndexChoice::parse(&v))
-                        .expect("--index needs one of: auto, brute, vptree");
-                }
                 "--quick" => out.quick = true,
-                other => {
-                    panic!("unknown flag {other}; supported: --seed --n --threads --index --quick")
-                }
+                other => panic!("unknown flag {other}; supported: --seed --n --threads --quick"),
             }
         }
         out

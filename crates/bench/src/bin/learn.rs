@@ -22,7 +22,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
 
-/// Linear-plus-noise training data (same shape as the `serving` bin).
+/// Linear-plus-noise training data.
 fn training_data(n: usize, m: usize, seed: u64) -> (Vec<f64>, Vec<f64>) {
     let mut rng = StdRng::seed_from_u64(seed);
     let data: Vec<f64> = (0..n * m).map(|_| rng.gen_range(0.0..100.0)).collect();

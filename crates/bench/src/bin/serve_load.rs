@@ -30,7 +30,7 @@ use std::io::{Read, Write as _};
 use std::net::TcpStream;
 use std::time::Instant;
 
-/// Linear-plus-noise training relation (cf. the `serving` bin's data) —
+/// Linear-plus-noise training relation —
 /// enough structure that fitted models are non-degenerate.
 fn training_relation(n: usize, m: usize, seed: u64) -> Relation {
     let mut rng = StdRng::seed_from_u64(seed);

@@ -20,6 +20,9 @@ pub struct MethodScore {
     /// Offline (`Imputer::fit_targets`) / online (`FittedImputer::
     /// impute_all`) wall clock, measured through the real two-phase API.
     pub timings: PhaseTimings,
+    /// The filled relation the RMS error was scored on; `None` exactly
+    /// when `rmse` is.
+    pub filled: Option<Relation>,
 }
 
 /// Builds the paper-default IIM imputer: adaptive learning with stepping
@@ -143,6 +146,7 @@ pub fn score_cell(
         name: method.name().to_string(),
         rmse: None,
         timings: PhaseTimings::default(),
+        filled: None,
     };
     let t0 = Instant::now();
     let fitted = match method.fit_targets(rel, targets) {
@@ -162,6 +166,7 @@ pub fn score_cell(
         name: method.name().to_string(),
         rmse: Some(rmse(&out, truth)),
         timings: PhaseTimings { offline, online },
+        filled: Some(out),
     }
 }
 
@@ -173,38 +178,17 @@ pub fn score_cell(
 /// Methods returning [`ImputeError::Unsupported`](iim_data::ImputeError)
 /// get `rmse: None` (the paper's "-" entries, e.g. SVD on 2 attributes);
 /// any other error aborts — it would mean a broken workload. Cells run
-/// sequentially so their recorded timings stay uncontended; use
-/// [`run_lineup_on`] to fan the method cells out on a pool instead.
+/// sequentially so their recorded timings stay uncontended.
 pub fn run_lineup(
     methods: &[Box<dyn Imputer>],
     rel: &Relation,
     truth: &GroundTruth,
 ) -> Vec<MethodScore> {
-    run_lineup_on(&iim_exec::Pool::serial(), methods, rel, truth)
-}
-
-/// [`run_lineup`] with the (method × workload) cells themselves scheduled
-/// on `pool` — results in lineup order, identical to the sequential run.
-///
-/// Cell-level parallelism is the high-throughput mode (the `parallel`
-/// binary uses it to sweep method × missing-rate grids); note that cells
-/// timed while other cells share the cores report wall-clock inflated by
-/// contention, so the paper-table binaries keep the sequential
-/// [`run_lineup`].
-pub fn run_lineup_on(
-    pool: &iim_exec::Pool,
-    methods: &[Box<dyn Imputer>],
-    rel: &Relation,
-    truth: &GroundTruth,
-) -> Vec<MethodScore> {
     let targets = rel.incomplete_attrs();
-    // A cell is a whole fit + impute_all — seconds-scale, far above spawn
-    // cost — so parallelize from two cells up rather than letting a
-    // 14-method lineup fall under the default (per-item-sized) cutoff.
-    pool.with_serial_cutoff(2)
-        .parallel_map_indexed(methods.len(), |mi| {
-            score_cell(&*methods[mi], rel, truth, &targets)
-        })
+    methods
+        .iter()
+        .map(|method| score_cell(&**method, rel, truth, &targets))
+        .collect()
 }
 
 #[cfg(test)]

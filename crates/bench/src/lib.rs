@@ -15,10 +15,13 @@
 //!   ([`diff`]) is the regression gate over any two such files.
 //!   Committed spec presets live under `crates/bench/specs/`.
 //!
-//! The bespoke executors that measure what a generic spec cannot (HTTP
+//! The runner is the one entry point for method × workload grids, and it
+//! asserts that every (dataset, rate, method) point fills its relation
+//! bit for bit the same across repeats, thread counts and indexes. The
+//! bespoke executors that measure what a generic spec cannot (HTTP
 //! daemons, persistence, hot swaps) remain their own binaries —
-//! `serving`, `serve_load`, `learn`, `registry_load`, `parallel` — but
-//! all emit the same envelope. Run everything in release:
+//! `serve_load`, `learn`, `registry_load` — but all emit the same
+//! envelope. Run everything in release:
 //!
 //! ```text
 //! cargo run -p iim-bench --release --bin paper -- table5
@@ -39,9 +42,7 @@ pub mod spec;
 
 pub use args::Args;
 pub use datasets::PaperData;
-pub use harness::{
-    method_lineup, method_lineup_with, run_lineup, run_lineup_on, score_cell, MethodScore,
-};
+pub use harness::{method_lineup, method_lineup_with, run_lineup, score_cell, MethodScore};
 pub use report::Table;
 pub use result::{BenchResult, Cell, Machine, Metric};
 pub use spec::Spec;

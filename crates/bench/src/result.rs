@@ -44,8 +44,8 @@
 //! # Machine tags
 //!
 //! `available_cores` is detected, never asserted: a result produced on a
-//! 1-core CI box says so, which is why the committed BENCH_parallel
-//! speedups of ≈1× are honest rather than wrong. `rustc` and `git_commit`
+//! 1-core CI box says so, so thread-scaling speedups of ≈1× there read as
+//! honest rather than wrong. `rustc` and `git_commit`
 //! are best-effort (running the tools at capture time) and degrade to
 //! `"unknown"` off-repo.
 //!

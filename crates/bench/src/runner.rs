@@ -9,21 +9,21 @@
 //! the offline/online phases plus the RMS error through
 //! [`score_cell`].
 //!
-//! Two invariants are enforced while running, not just documented:
-//!
-//! - **Determinism across threads**: when a spec sweeps thread counts,
-//!   the RMS error of every (dataset, rate, index, method) point must be
-//!   bitwise identical across them (the workspace-wide reproducibility
-//!   contract). A mismatch panics — that is a product bug, not noise.
-//! - **Determinism across repeats**: RMSE is recorded once per cell, after
-//!   asserting every repeat produced the same value.
+//! One invariant is enforced while running, not just documented: an IIM
+//! fill depends only on the k neighbours and their individual models, so
+//! neither the neighbour index nor the worker count may change a value.
+//! The runner keeps the first filled relation of every (dataset, rate,
+//! method) point and asserts that each later repeat, thread count and
+//! index fills it bitwise the same (missing cells compare equal). A
+//! mismatch panics — that is a product bug, not noise. RMSE, a function
+//! of the fill, is recorded once per cell.
 
 use crate::datasets::PaperData;
 use crate::harness::{method_lineup_with, score_cell};
 use crate::result::{BenchResult, Cell};
 use crate::spec::Spec;
 use iim_data::inject::inject_attr;
-use iim_data::FeatureSelection;
+use iim_data::{FeatureSelection, Relation};
 use iim_neighbors::IndexChoice;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -45,8 +45,8 @@ pub struct PlannedCell {
 }
 
 /// Expands the spec's cross-product in deterministic order: dataset,
-/// then missing-rate, then index, then method, then threads (threads
-/// innermost so the determinism check sees adjacent cells).
+/// then missing-rate, then index, then method, then threads — the order
+/// [`run`] executes cells in.
 pub fn expand(spec: &Spec) -> Vec<PlannedCell> {
     let mut cells = Vec::new();
     for &dataset in &spec.datasets {
@@ -81,9 +81,6 @@ pub fn run(spec: &Spec) -> BenchResult {
     spec.validate().expect("spec validated before running");
     let mut result =
         BenchResult::new(&spec.name, spec.warmup, spec.repeats).with_spec(spec.to_toml());
-    // (dataset, rate, index, method) -> rmse bits from the first thread
-    // count that ran the point.
-    let mut rmse_by_point: HashMap<String, u64> = HashMap::new();
 
     for &dataset in &spec.datasets {
         let clean = dataset.generate(spec.n, spec.seed);
@@ -94,6 +91,9 @@ pub fn run(spec: &Spec) -> BenchResult {
             let n_inc = ((missing_rate * n as f64).ceil() as usize).clamp(1, n / 2);
             let truth = inject_attr(&mut rel, am, n_inc, &mut StdRng::seed_from_u64(spec.seed));
             let targets = rel.incomplete_attrs();
+            // method -> the first fill of this (dataset, rate) point, which
+            // every later repeat, thread count and index must reproduce.
+            let mut first_fill: HashMap<&str, Relation> = HashMap::new();
             for &index in &spec.index {
                 let lineup =
                     method_lineup_with(spec.k, spec.seed, n, FeatureSelection::AllOthers, index);
@@ -104,8 +104,9 @@ pub fn run(spec: &Spec) -> BenchResult {
                         .expect("spec methods validated against the lineup");
                     for &threads in &spec.threads {
                         iim_exec::set_default_threads(threads);
-                        let point = format!(
-                            "{} rate={missing_rate} index={} method={method_name}",
+                        let cell = format!(
+                            "{} rate={missing_rate} index={} method={method_name} \
+                             threads={threads}",
                             dataset.name(),
                             index.name()
                         );
@@ -114,41 +115,30 @@ pub fn run(spec: &Spec) -> BenchResult {
                         }
                         let mut offline = Vec::with_capacity(spec.repeats);
                         let mut online = Vec::with_capacity(spec.repeats);
-                        let mut rmse: Option<f64> = None;
-                        let mut supported = true;
+                        let mut rmse = None;
                         for rep in 0..spec.repeats {
                             let score = score_cell(&**method, &rel, &truth, &targets);
-                            let Some(r) = score.rmse else {
-                                supported = false;
+                            let (Some(r), Some(filled)) = (score.rmse, score.filled) else {
                                 break;
                             };
-                            match rmse {
-                                None => rmse = Some(r),
-                                Some(prev) => assert_eq!(
-                                    prev.to_bits(),
-                                    r.to_bits(),
-                                    "{point}: rmse drifted between repeat {} and {rep}",
-                                    rep - 1,
+                            match first_fill.get(method_name.as_str()) {
+                                None => {
+                                    first_fill.insert(method_name, filled);
+                                }
+                                Some(first) => assert!(
+                                    *first == filled,
+                                    "{cell} repeat {rep}: filled relation differs from the \
+                                     point's first fill",
                                 ),
                             }
+                            rmse = Some(r);
                             offline.push(score.timings.offline.as_secs_f64());
                             online.push(score.timings.online.as_secs_f64());
                         }
-                        if !supported {
-                            eprintln!("[bench] skip {point}: unsupported workload");
+                        let Some(rmse) = rmse else {
+                            eprintln!("[bench] skip {cell}: unsupported workload");
                             continue;
-                        }
-                        let rmse = rmse.expect("repeats >= 1");
-                        match rmse_by_point.entry(point.clone()) {
-                            std::collections::hash_map::Entry::Vacant(e) => {
-                                e.insert(rmse.to_bits());
-                            }
-                            std::collections::hash_map::Entry::Occupied(e) => assert_eq!(
-                                *e.get(),
-                                rmse.to_bits(),
-                                "{point}: rmse differs across thread counts",
-                            ),
-                        }
+                        };
                         result.push(
                             Cell::new()
                                 .coord_str("dataset", dataset.name())
@@ -162,7 +152,7 @@ pub fn run(spec: &Spec) -> BenchResult {
                                 .metric("online_s", online)
                                 .metric("rmse", vec![rmse]),
                         );
-                        eprintln!("[bench] {point} threads={threads} done");
+                        eprintln!("[bench] {cell} done");
                     }
                 }
             }
@@ -174,6 +164,7 @@ pub fn run(spec: &Spec) -> BenchResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::result::Coord;
 
     fn tiny_spec() -> Spec {
         Spec {
@@ -215,5 +206,30 @@ mod tests {
         // The envelope round-trips through its own JSON.
         let back = BenchResult::from_json_text(&result.render()).expect("round trip");
         assert_eq!(back, result);
+    }
+
+    #[test]
+    fn fills_agree_across_thread_counts_and_indexes() {
+        let spec = Spec {
+            methods: vec!["IIM".to_string(), "kNN".to_string()],
+            threads: vec![1, 2],
+            index: vec![IndexChoice::Brute, IndexChoice::VpTree],
+            repeats: 1,
+            n: Some(600),
+            ..tiny_spec()
+        };
+        let result = run(&spec);
+        assert_eq!(result.cells.len(), 8);
+        for method in ["IIM", "kNN"] {
+            let coord = ("method".to_string(), Coord::Str(method.to_string()));
+            let bits: Vec<u64> = result
+                .cells
+                .iter()
+                .filter(|c| c.id.contains(&coord))
+                .map(|c| c.metric_named("rmse").unwrap().samples[0].to_bits())
+                .collect();
+            assert_eq!(bits.len(), 4, "{method}: 2 thread counts x 2 indexes");
+            assert!(bits.iter().all(|&b| b == bits[0]), "{method}: {bits:?}");
+        }
     }
 }

@@ -264,7 +264,7 @@ impl Spec {
     }
 
     /// Re-checks cross-field invariants (list non-emptiness, known
-    /// method names) — run after any mutation path.
+    /// method names, `n >= 2`) — run after any mutation path.
     pub fn validate(&self) -> Result<(), SpecError> {
         for m in &self.methods {
             if !KNOWN_METHODS.contains(&m.as_str()) {
@@ -288,6 +288,12 @@ impl Spec {
         }
         if self.repeats == 0 {
             return Err(SpecError::Empty("repeats"));
+        }
+        if let Some(n) = self.n.filter(|&n| n < 2) {
+            return Err(SpecError::BadValue {
+                key: "n".to_string(),
+                message: format!("{n} rows; need at least 2 (one incomplete, one complete)"),
+            });
         }
         Ok(())
     }
@@ -512,6 +518,10 @@ k = 5
             Spec::parse("repeats = 0").unwrap_err(),
             SpecError::Empty("repeats")
         );
+        assert!(matches!(
+            Spec::parse("n = 1").unwrap_err(),
+            SpecError::BadValue { .. }
+        ));
     }
 
     #[test]

@@ -27,7 +27,7 @@ fn random_matrix(n: usize, m: usize, seed: u64) -> FeatureMatrix {
 }
 
 /// Two shared latent factors + per-feature noise: intrinsic dimension ~2
-/// at any ambient m (same generator family as the `serving` bench bin).
+/// at any ambient m.
 fn latent_matrix(n: usize, m: usize, seed: u64) -> FeatureMatrix {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut data = Vec::with_capacity(n * m);

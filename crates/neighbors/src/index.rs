@@ -21,22 +21,32 @@
 //!
 //! # Auto-selection heuristic
 //!
-//! [`IndexChoice::Auto`] picks by `(n, m)`, checked against the committed
-//! `bench_results/BENCH_serving.json` grid — k=10 serving over correlated
-//! (two-factor latent) candidates at n ∈ {1k, 10k, 50k} × m ∈ {1, 4, 8,
-//! 12}, brute and VP-tree per cell, re-run by
-//! `cargo run -p iim-bench --release --bin serving` whenever the kernels
-//! or the tree change. Headline cells from the committed grid (µs/query,
-//! single-threaded query loop on a 2-vCPU Intel Xeon):
+//! [`IndexChoice::Auto`] picks by `(n, m)`, checked against two committed
+//! measurements, both re-run whenever the kernels or the tree change:
 //!
-//! | n, m       | brute | vptree |
-//! |------------|-------|--------|
-//! | 1k,  4     | 12.8  | 5.0    |
-//! | 10k, 8     | 99.0  | 5.8    |
-//! | 50k, 8     | 516.7 | 14.4   |
-//! | 50k, 12    | 614.2 | 19.0   |
+//! * `bench_results/BENCH_index_sweep.json`, written by `iim bench run
+//!   crates/bench/specs/index_sweep.toml`: IIM and kNN end to end on the
+//!   SN, PHASE, CCPP, ASF and CA analogs at their default sizes
+//!   (m = 1, 3, 4, 5, 8), brute and VP-tree per cell, every filled
+//!   relation asserted bitwise equal across the two.
+//! * The criterion `index_knn_k10_latent` group in
+//!   `crates/neighbors/benches/knn.rs`: raw k=10 search over correlated
+//!   (two-factor latent) candidates, out to n = 50k and m = 12.
 //!
-//! The tree wins every measured cell from n = 1k up, at every m.
+//! Headline cells on a 2-vCPU Intel Xeon, µs per query (index sweep:
+//! IIM `online_s` over the 5% imputed tuples, median of 3,
+//! single-threaded; criterion: median per query):
+//!
+//! | source            | n, m      | brute | vptree |
+//! |-------------------|-----------|-------|--------|
+//! | index_sweep ASF   | 1.5k, 5   | 12.0  | 6.2    |
+//! | index_sweep SN    | 20k, 1    | 97.0  | 2.9    |
+//! | index_sweep CCPP  | 10k, 4    | 49.2  | 5.7    |
+//! | index_sweep CA    | 20k, 8    | 159.7 | 11.0   |
+//! | latent (criterion)| 50k, 8    | 488   | 103    |
+//! | latent (criterion)| 10k, 12   | 125   | 40     |
+//!
+//! The tree wins every measured cell from n = 1.5k up, at every m.
 //!
 //! The rule is two-way:
 //!

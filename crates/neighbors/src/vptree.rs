@@ -9,7 +9,8 @@
 //! data hugs a low-dimensional manifold inside a high-dimensional box)
 //! metric balls adapt to the manifold while axis-aligned boxes cannot, so
 //! the VP-tree keeps paying as the dimensionality grows — see
-//! `bench_results/BENCH_serving.json` for the committed grid.
+//! `bench_results/BENCH_index_sweep.json` and the criterion
+//! `index_knn_k10_latent` group for the measurements.
 //!
 //! # Determinism
 //!

@@ -99,7 +99,7 @@
 //!   is **bitwise-identical for every worker count**. This is
 //!   property-tested per method in `tests/fit_serve.rs` (a 4-worker
 //!   `impute_all` equals the serial one cell-for-cell) and asserted on
-//!   real workloads by the `parallel` bench binary.
+//!   whole filled relations by the spec runner (`iim bench run`).
 //! * **What runs in parallel.** Offline: individual-model learning and
 //!   the adaptive ℓ sweep (per tuple), neighbor-order construction (per
 //!   point), per-target fits in
@@ -109,13 +109,12 @@
 //!   [`FittedImputer::impute_all`](data::FittedImputer) fan queries out;
 //!   one fitted model also serves many threads directly (`Send + Sync`,
 //!   validated by a cross-thread bitwise test).
-//! * **Measured.** `cargo run -p iim-bench --release --bin parallel`
-//!   records per-method offline/online wall-clock at 1 vs N threads into
-//!   `bench_results/BENCH_parallel.json`, asserting every N-thread output
-//!   bitwise-equal to serial on the way. The file records
-//!   `available_cores` — re-run on multi-core hardware to capture that
-//!   machine's scaling (the committed baseline comes from a 1-core
-//!   container, where speedups ≈1× by construction).
+//! * **Measured.** `iim bench run crates/bench/specs/parallel_grid.toml`
+//!   records every method's offline/online wall-clock at 1 vs 4 threads
+//!   into `bench_results/BENCH_parallel_grid.json`, asserting that both
+//!   thread counts fill each relation bitwise the same. The file records
+//!   `available_cores`, so re-run it to capture another machine's
+//!   scaling.
 //!
 //! ## Crate map
 //!
