@@ -6,10 +6,14 @@
 //!   fit grows linearly with ℓ.
 //! * `knn_50k_2d` — brute force vs VP-tree at SN-like scale.
 //! * `learn_fixed` — the Algorithm 1 learning phase.
+//! * `adaptive_sweep_n4750_m5_l1000` — the Algorithm 3 sweep at the
+//!   `offline_fit` shape: 4,750 tuples, 200 candidate ℓ each (step 5 up to
+//!   1,000), every candidate solved into scratch and priced on its
+//!   validators.
 //! * `combine` — the Formula 10–12 candidate vote.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use iim_core::{combine_candidates, learn_fixed, Weighting};
+use iim_core::{adaptive_learn, combine_candidates, learn_fixed, AdaptiveConfig, Weighting};
 use iim_linalg::{ridge_fit, GramAccumulator};
 use iim_neighbors::brute::{FeatureMatrix, Neighbor};
 use iim_neighbors::{NeighborOrders, VpTree};
@@ -98,8 +102,27 @@ fn bench_learning(c: &mut Criterion) {
     let fm = FeatureMatrix::from_dense(4, (0..2000u32).collect::<Vec<u32>>(), flat);
     let orders = NeighborOrders::build(&fm, 100);
     c.bench_function("learn_fixed_l50_n2000_m4", |b| {
-        b.iter(|| black_box(learn_fixed(&fm, &ys, &orders, 50, 1e-6, 1)));
+        b.iter(|| black_box(learn_fixed(&fm, &ys, &orders, 50, 1e-6, 1).expect("finite")));
     });
+}
+
+fn bench_adaptive_sweep(c: &mut Criterion) {
+    let n = 4750;
+    let (xs, ys) = random_rows(n, 5, 5);
+    let flat: Vec<f64> = xs.iter().flatten().copied().collect();
+    let fm = FeatureMatrix::from_dense(5, (0..n as u32).collect::<Vec<u32>>(), flat);
+    let orders = NeighborOrders::build(&fm, 1000);
+    let cfg = AdaptiveConfig {
+        step: 5,
+        ell_max: Some(1000),
+        incremental: true,
+        validation_k: Some(10),
+    };
+    let mut group = c.benchmark_group("adaptive_sweep_n4750_m5_l1000");
+    group.bench_function("incremental_h5", |b| {
+        b.iter(|| black_box(adaptive_learn(&fm, &ys, &orders, 10, &cfg, 1e-6, 1)));
+    });
+    group.finish();
 }
 
 fn bench_combine(c: &mut Criterion) {
@@ -123,6 +146,6 @@ fn bench_combine(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_gram, bench_knn, bench_learning, bench_combine
+    targets = bench_gram, bench_knn, bench_learning, bench_adaptive_sweep, bench_combine
 }
 criterion_main!(benches);

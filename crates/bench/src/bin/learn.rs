@@ -78,7 +78,7 @@ fn main() {
 
         let fm = FeatureMatrix::from_dense(m, (0..n as u32).collect::<Vec<u32>>(), data.clone());
         let t0 = Instant::now();
-        let mut model = IimModel::learn_from_parts(fm, &ys, &cfg);
+        let mut model = IimModel::learn_from_parts(fm, &ys, &cfg).expect("finite training data");
         let fit_s = t0.elapsed().as_secs_f64();
 
         // A stream of fresh tuples from the same distribution, absorbed
@@ -114,7 +114,7 @@ fn main() {
         grown_ys.push(stream[0].1);
         let fm1 = FeatureMatrix::from_dense(m, (0..(n as u32) + 1).collect::<Vec<u32>>(), grown);
         let t1 = Instant::now();
-        let refit = IimModel::learn_from_parts(fm1, &grown_ys, &cfg);
+        let refit = IimModel::learn_from_parts(fm1, &grown_ys, &cfg).expect("finite training data");
         let refit_one_s = t1.elapsed().as_secs_f64();
         assert_eq!(refit.index().len(), n + 1);
 

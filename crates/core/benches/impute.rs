@@ -34,8 +34,9 @@ fn bench_impute_one(c: &mut Criterion) {
         index,
         ..IimConfig::default()
     };
-    let brute = IimModel::learn_from_parts(fm.clone(), &ys, &cfg(IndexChoice::Brute));
-    let vp = IimModel::learn_from_parts(fm, &ys, &cfg(IndexChoice::VpTree));
+    let brute =
+        IimModel::learn_from_parts(fm.clone(), &ys, &cfg(IndexChoice::Brute)).expect("finite");
+    let vp = IimModel::learn_from_parts(fm, &ys, &cfg(IndexChoice::VpTree)).expect("finite");
     let mut rng = StdRng::seed_from_u64(2);
     let queries: Vec<Vec<f64>> = (0..64)
         .map(|_| (0..m).map(|_| rng.gen_range(0.0..100.0)).collect())

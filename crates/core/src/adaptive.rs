@@ -14,7 +14,7 @@
 use crate::config::AdaptiveConfig;
 use crate::incremental::{sweep_values, ModelSweep};
 use iim_exec::Pool;
-use iim_linalg::RidgeModel;
+use iim_linalg::{predict_phi, RidgeModel};
 use iim_neighbors::{brute::FeatureMatrix, NeighborOrders};
 
 /// Result of adaptive learning.
@@ -35,6 +35,10 @@ pub struct AdaptiveOutcome {
 /// * `cfg.step` — stepping `h` (§V-A2).
 /// * `cfg.incremental` — Proposition-3 Gram updates vs from-scratch
 ///   re-learning; identical output either way.
+///
+/// Panics when a candidate's ridge solve fails (training values so large
+/// that the Gram sums overflow); [`adaptive_learn_detailed`] returns
+/// `None` instead.
 pub fn adaptive_learn(
     fm: &FeatureMatrix,
     ys: &[f64],
@@ -44,12 +48,19 @@ pub fn adaptive_learn(
     alpha: f64,
     threads: usize,
 ) -> AdaptiveOutcome {
-    let (outcome, _) = adaptive_learn_detailed(fm, ys, orders, k, cfg, alpha, threads, false);
+    let (outcome, _) = adaptive_learn_detailed(fm, ys, orders, k, cfg, alpha, threads, false)
+        .expect("finite training data");
     outcome
 }
 
 /// [`adaptive_learn`] that can also return the full `cost[i][ℓ]` table
-/// (flattened `n x |swept|`, row-major) for diagnostics and tests.
+/// (flattened `n x |swept|`, row-major) for diagnostics and tests, and
+/// that returns `None` instead of panicking when a candidate's ridge solve
+/// fails.
+///
+/// Each candidate `φᵢ⁽ℓ⁾` is solved into the sweep's scratch buffer
+/// ([`ModelSweep::phi_at`]) and priced on the validators from there; only
+/// the winner of each tuple is copied out into a [`RidgeModel`].
 #[allow(clippy::too_many_arguments)]
 pub fn adaptive_learn_detailed(
     fm: &FeatureMatrix,
@@ -60,7 +71,7 @@ pub fn adaptive_learn_detailed(
     alpha: f64,
     threads: usize,
     record_costs: bool,
-) -> (AdaptiveOutcome, Option<Vec<f64>>) {
+) -> Option<(AdaptiveOutcome, Option<Vec<f64>>)> {
     let n = fm.len();
     assert!(n > 0, "cannot learn from an empty relation");
     assert!(k >= 1, "validation requires k >= 1");
@@ -118,17 +129,17 @@ pub fn adaptive_learn_detailed(
         costs: Option<Vec<f64>>,
     }
 
-    let results: Vec<PerTuple> = Pool::new(threads).parallel_map_indexed(n, |i| {
-        let prefix = orders.neighbors_of(i);
-        let mut sweep = ModelSweep::new(fm, ys, prefix, alpha, cfg.incremental);
-        let mut best: Option<(f64, usize, RidgeModel)> = None;
+    let results: Vec<Option<PerTuple>> = Pool::new(threads).parallel_map_indexed(n, |i| {
+        let validators = &validator_data[offsets[i]..offsets[i + 1]];
+        let mut sweep = ModelSweep::new(fm, ys, orders.neighbors_of(i), alpha, cfg.incremental);
+        let mut best: Option<(f64, usize)> = None;
+        let mut best_phi = vec![0.0; fm.n_features() + 1];
         let mut costs = record_costs.then(|| Vec::with_capacity(swept.len()));
         for &ell in &swept {
-            let model = sweep.model_at(ell);
+            let phi = sweep.phi_at(ell)?;
             let mut cost = 0.0;
-            for &j in &validator_data[offsets[i]..offsets[i + 1]] {
-                let pred = model.predict(fm.point(j as usize));
-                let err = ys[j as usize] - pred;
+            for &j in validators {
+                let err = ys[j as usize] - predict_phi(phi, fm.point(j as usize));
                 cost += err * err;
             }
             if let Some(c) = costs.as_mut() {
@@ -136,37 +147,40 @@ pub fn adaptive_learn_detailed(
             }
             // Strict '<' keeps the smallest ℓ on ties, matching the
             // argmin-in-order semantics of Line 9.
-            let better = best.as_ref().is_none_or(|(b, _, _)| cost < *b);
-            if better {
-                best = Some((cost, ell, model));
+            if best.is_none_or(|(b, _)| cost < b) {
+                best = Some((cost, ell));
+                best_phi.copy_from_slice(phi);
             }
         }
-        let (_, ell, model) = best.expect("sweep is non-empty");
-        PerTuple {
-            model,
+        let (_, ell) = best.expect("sweep is non-empty");
+        Some(PerTuple {
+            model: RidgeModel {
+                phi: best_phi.into(),
+            },
             ell: ell as u32,
             costs,
-        }
+        })
     });
 
     let mut models = Vec::with_capacity(n);
     let mut chosen = Vec::with_capacity(n);
     let mut table = record_costs.then(|| Vec::with_capacity(n * swept.len()));
     for r in results {
+        let r = r?;
         models.push(r.model);
         chosen.push(r.ell);
         if let (Some(t), Some(c)) = (table.as_mut(), r.costs) {
             t.extend(c);
         }
     }
-    (
+    Some((
         AdaptiveOutcome {
             models,
             chosen_ell: chosen,
             swept,
         },
         table,
-    )
+    ))
 }
 
 #[cfg(test)]
@@ -204,7 +218,8 @@ mod tests {
             incremental: true,
             ..AdaptiveConfig::default()
         };
-        let (outcome, costs) = adaptive_learn_detailed(&fm, &ys, &orders, 3, &cfg, 1e-9, 1, true);
+        let (outcome, costs) =
+            adaptive_learn_detailed(&fm, &ys, &orders, 3, &cfg, 1e-9, 1, true).expect("finite");
         let costs = costs.expect("recorded");
         let t2 = &costs[8..16]; // tuple index 1, 8 sweep points
         let exact = [4.04, 3.785, 0.3124, 0.0919, 1.4723, 2.3559, 3.0334, 3.6487];
@@ -236,7 +251,8 @@ mod tests {
             incremental: true,
             ..AdaptiveConfig::default()
         };
-        let (outcome, costs) = adaptive_learn_detailed(&fm, &ys, &orders, 3, &cfg, 1e-9, 1, true);
+        let (outcome, costs) =
+            adaptive_learn_detailed(&fm, &ys, &orders, 3, &cfg, 1e-9, 1, true).expect("finite");
         assert_eq!(outcome.swept, vec![1, 4, 7]);
         let t2 = &costs.unwrap()[3..6];
         assert!((t2[1] - 0.0919).abs() < 0.005, "cost[2][4] {}", t2[1]);

@@ -236,7 +236,7 @@ mod tests {
         let fm = FeatureMatrix::gather(&rel, &[0], &rows);
         let ys: Vec<f64> = (0..8).map(|i| rel.value(i, 1)).collect();
         let orders = NeighborOrders::build(&fm, 8);
-        let models = learn_fixed(&fm, &ys, &orders, 4, 1e-9, 1);
+        let models = learn_fixed(&fm, &ys, &orders, 4, 1e-9, 1).expect("finite");
 
         let cands = impute_candidates(&fm, &models, &[5.0], 3);
         assert_eq!(cands.len(), 3);
@@ -338,7 +338,7 @@ mod tests {
         let fm = FeatureMatrix::gather(&rel, &[0], &rows);
         let ys: Vec<f64> = (0..8).map(|i| rel.value(i, 1)).collect();
         let orders = NeighborOrders::build(&fm, 8);
-        let models = learn_fixed(&fm, &ys, &orders, 4, 1e-9, 1);
+        let models = learn_fixed(&fm, &ys, &orders, 4, 1e-9, 1).expect("finite");
         let mut scratch = ImputeScratch::new();
         for choice in [
             iim_neighbors::IndexChoice::Brute,

@@ -2,13 +2,13 @@
 //! [`AttrEstimator`] adapter ([`Iim`]) that plugs IIM into the shared
 //! per-attribute driver next to every baseline.
 
-use crate::adaptive::adaptive_learn;
+use crate::adaptive::adaptive_learn_detailed;
 use crate::config::{IimConfig, Learning, Weighting};
 use crate::impute::{impute_with_scratch, ImputeScratch};
 use crate::learn::learn_fixed;
 use iim_bytes::{FloatSlice, U32Slice};
 use iim_data::{AttrEstimator, AttrPredictor, AttrTask, ImputeError};
-use iim_linalg::{GramAccumulator, LuFactors, Matrix, RidgeModel, EPS};
+use iim_linalg::{regularizing_shifts, GramAccumulator, LuFactors, Matrix, RidgeModel, EPS};
 use iim_neighbors::{brute::FeatureMatrix, KnnScratch, NeighborIndex, NeighborOrders};
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -44,35 +44,18 @@ struct SmState {
     v: Vec<f64>,
 }
 
-/// Inverts `u + shift·E` under the same escalating-shift policy as
-/// `solve_spd_regularized` (shift sequence `α, 10α, …` capped at `1e6`
-/// relative to the mean diagonal). Returns `None` only for non-finite
+/// Inverts `u + shift·E` under the same escalating shifts as every ridge
+/// solve ([`regularizing_shifts`]). Returns `None` only for non-finite
 /// input — the same condition under which the batch learner fails.
 fn regularized_inverse(u: &Matrix, alpha0: f64) -> Option<Matrix> {
-    let n = u.rows();
-    let mean_diag = (0..n).map(|i| u[(i, i)].abs()).sum::<f64>().max(EPS) / n as f64;
-    let mut shift = alpha0.max(0.0);
-    for _ in 0..40 {
+    regularizing_shifts(u, alpha0).find_map(|shift| {
         let mut shifted = u.clone();
         if shift > 0.0 {
             shifted.add_diag(shift);
         }
-        if let Some(lu) = LuFactors::new(&shifted) {
-            let inv = lu.inverse();
-            if inv.is_finite() {
-                return Some(inv);
-            }
-        }
-        shift = if shift == 0.0 {
-            EPS * mean_diag
-        } else {
-            shift * 10.0
-        };
-        if shift > 1e6 * mean_diag {
-            break;
-        }
-    }
-    None
+        let inv = LuFactors::new(&shifted)?.inverse();
+        inv.is_finite().then_some(inv)
+    })
 }
 
 /// One Sherman–Morrison rank-1 step: absorbs the augmented observation
@@ -156,7 +139,9 @@ impl IimModel {
             .iter()
             .map(|&r| task.target_value(r as usize))
             .collect();
-        Ok(Self::learn_from_parts(fm, &ys, cfg))
+        Self::learn_from_parts(fm, &ys, cfg).ok_or(ImputeError::NumericOverflow {
+            target: task.target,
+        })
     }
 
     /// [`IimModel::learn`] over pre-gathered parts (used by benches that
@@ -164,8 +149,9 @@ impl IimModel {
     ///
     /// Builds the serving [`NeighborIndex`] first ([`IimConfig::index`])
     /// and routes the offline neighbor-order construction through it, so
-    /// one index serves both phases.
-    pub fn learn_from_parts(fm: FeatureMatrix, ys: &[f64], cfg: &IimConfig) -> Self {
+    /// one index serves both phases. `None` when some ridge solve fails,
+    /// which takes training values so large that the Gram sums overflow.
+    pub fn learn_from_parts(fm: FeatureMatrix, ys: &[f64], cfg: &IimConfig) -> Option<Self> {
         let n = fm.len();
         let threads = cfg.effective_threads();
         let pool = iim_exec::Pool::new(threads);
@@ -175,19 +161,22 @@ impl IimModel {
             Learning::Fixed { ell } => {
                 let ell = (*ell).clamp(1, n);
                 let orders = NeighborOrders::build_from_index(&pool, &index, ell);
-                let models = learn_fixed(fm, ys, &orders, ell, cfg.alpha, threads);
+                let models = learn_fixed(fm, ys, &orders, ell, cfg.alpha, threads)?;
                 (models, vec![ell as u32; n])
             }
             Learning::Adaptive(acfg) => {
-                let vk_hint = acfg.validation_k.unwrap_or(cfg.k);
-                let depth = acfg.ell_max.map_or(n, |e| e.min(n)).max(vk_hint.min(n)); // orders must also serve validation kNN
-                let orders = NeighborOrders::build_from_index(&pool, &index, depth.max(1));
                 let vk = acfg.validation_k.unwrap_or(cfg.k).max(1);
-                let out = adaptive_learn(fm, ys, &orders, vk, acfg, cfg.alpha, threads);
+                // The orders serve the ℓ sweep and the validation kNN,
+                // which skips the tuple itself (Example 4) and so reads
+                // vk + 1 entries.
+                let depth = acfg.ell_max.map_or(n, |e| e.min(n)).max((vk + 1).min(n));
+                let orders = NeighborOrders::build_from_index(&pool, &index, depth);
+                let (out, _) =
+                    adaptive_learn_detailed(fm, ys, &orders, vk, acfg, cfg.alpha, threads, false)?;
                 (out.models, out.chosen_ell)
             }
         };
-        Self {
+        Some(Self {
             index,
             models,
             chosen_ell: chosen_ell.into(),
@@ -197,7 +186,7 @@ impl IimModel {
             weighting: cfg.weighting,
             absorbed: 0,
             sm: HashMap::new(),
-        }
+        })
     }
 
     /// Online phase (Algorithm 2): imputes one query from its feature
@@ -689,6 +678,73 @@ mod tests {
         ));
         assert_eq!(model.absorbed(), 0);
         assert_eq!(model.n_train(), 8);
+    }
+
+    /// `n` tuples on two features with a curved, locally linear target,
+    /// so the chosen ℓ varies from tuple to tuple.
+    fn curved(n: usize) -> (FeatureMatrix, Vec<f64>) {
+        let mut data = Vec::with_capacity(2 * n);
+        let mut ys = Vec::with_capacity(n);
+        for i in 0..n {
+            let a = (i as f64 * 0.618_034).fract() * 10.0;
+            let b = (i as f64 * 0.377_021).fract() * 10.0;
+            data.extend([a, b]);
+            ys.push((a * 0.7).sin() * 3.0 + 0.5 * b + ((i * 7919) % 13) as f64 * 0.05);
+        }
+        let fm = FeatureMatrix::from_dense(2, (0..n as u32).collect::<Vec<u32>>(), data);
+        (fm, ys)
+    }
+
+    #[test]
+    fn validation_sees_k_neighbors_when_ell_max_is_shallow() {
+        // Validation skips the tuple itself (Example 4: T₁ = {t₂, t₃, t₄}
+        // for k = 3), so with ell_max ≤ validation_k the orders must hold
+        // validation_k + 1 entries, not validation_k.
+        let (fm, ys) = curved(300);
+        let acfg = crate::AdaptiveConfig {
+            step: 1,
+            ell_max: Some(8),
+            incremental: true,
+            validation_k: Some(10),
+        };
+        let cfg = IimConfig {
+            learning: Learning::Adaptive(acfg.clone()),
+            ..IimConfig::default()
+        };
+        let model = IimModel::learn_from_parts(fm.clone(), &ys, &cfg).expect("finite");
+        let at_depth = |depth| {
+            let orders = NeighborOrders::build(&fm, depth);
+            crate::adaptive_learn(&fm, &ys, &orders, 10, &acfg, cfg.alpha, 1).chosen_ell
+        };
+        let full = at_depth(11);
+        assert_eq!(model.chosen_ell(), &full[..]);
+        // One slot shallower validates on 9 neighbors and picks differently.
+        let shallow = at_depth(10);
+        let differing = full.iter().zip(&shallow).filter(|(a, b)| a != b).count();
+        assert!(differing > 0, "the data must exercise the validation depth");
+    }
+
+    #[test]
+    fn overflowing_training_values_are_a_typed_error() {
+        // Finite values near 1e160 overflow every Gram sum (~1e320), so no
+        // ridge solve beyond ℓ = 1 has a finite solution.
+        let mut rel = iim_data::Relation::with_capacity(iim_data::Schema::anonymous(3), 300);
+        for i in 0..300 {
+            let x = 1e160 * (1.0 + i as f64 / 300.0);
+            let y = 1e160 * (2.0 - (i as f64 * 0.1).sin());
+            rel.push_row_opt(&[Some(x), Some(y), (i % 10 != 0).then_some(x + y)]);
+        }
+        let task = AttrTask::new(&rel, vec![0, 1], 2);
+        for cfg in [IimConfig::default(), IimConfig::fixed(5, 10)] {
+            assert!(matches!(
+                IimModel::learn(&task, &cfg),
+                Err(ImputeError::NumericOverflow { target: 2 })
+            ));
+        }
+        let fit = PerAttributeImputer::new(Iim::new(IimConfig::default())).fit_targets(&rel, &[2]);
+        let err = fit.err().expect("the fit must fail");
+        assert!(matches!(err, ImputeError::NumericOverflow { target: 2 }));
+        assert!(err.to_string().contains("overflows"), "{err}");
     }
 
     #[test]

@@ -19,6 +19,8 @@ use iim_neighbors::{brute::FeatureMatrix, NeighborOrders};
 ///
 /// `ell = 1` yields the paper's constant model `φ[C] = tᵢ[Am]`, all other
 /// coefficients zero (§III-A2 "Handling Single Neighbor").
+///
+/// `None` when some tuple's ridge solve fails ([`learn_one`]).
 pub fn learn_fixed(
     fm: &FeatureMatrix,
     ys: &[f64],
@@ -26,7 +28,7 @@ pub fn learn_fixed(
     ell: usize,
     alpha: f64,
     threads: usize,
-) -> Vec<RidgeModel> {
+) -> Option<Vec<RidgeModel>> {
     let n = fm.len();
     assert_eq!(ys.len(), n, "one target value per training tuple");
     assert!(n > 0, "cannot learn from an empty relation");
@@ -39,29 +41,35 @@ pub fn learn_fixed(
     );
     Pool::new(threads)
         .parallel_map_indexed(n, |i| learn_one(fm, ys, orders.neighbors_of(i), ell, alpha))
+        .into_iter()
+        .collect()
 }
 
 /// Learns the individual model of one tuple from its sorted neighbor prefix.
+///
+/// `None` when the regularized solve fails, which takes training values so
+/// large that the Gram sums overflow (`|x| ≳ 1e154`): callers surface it
+/// as an error instead of a panic.
 pub fn learn_one(
     fm: &FeatureMatrix,
     ys: &[f64],
     neighbor_prefix: &[u32],
     ell: usize,
     alpha: f64,
-) -> RidgeModel {
+) -> Option<RidgeModel> {
     debug_assert!(ell >= 1 && ell <= neighbor_prefix.len());
     if ell == 1 {
         // §III-A2: a single neighbor (the tuple itself) cannot support a
         // regression; pin the constant model.
         let own = neighbor_prefix[0] as usize;
-        return RidgeModel::constant(ys[own], fm.n_features());
+        return Some(RidgeModel::constant(ys[own], fm.n_features()));
     }
     let rows = neighbor_prefix[..ell].iter().map(|&p| fm.point(p as usize));
     let targets: Vec<f64> = neighbor_prefix[..ell]
         .iter()
         .map(|&p| ys[p as usize])
         .collect();
-    ridge_fit(rows, &targets, alpha).expect("finite training data")
+    ridge_fit(rows, &targets, alpha)
 }
 
 #[cfg(test)]
@@ -88,7 +96,7 @@ mod tests {
         // reports slightly off as (-4.36, 1.11). We pin exact arithmetic
         // tightly and the paper's rounding loosely.
         let (fm, ys, orders) = fig1_setup();
-        let phi = learn_fixed(&fm, &ys, &orders, 4, 1e-9, 1);
+        let phi = learn_fixed(&fm, &ys, &orders, 4, 1e-9, 1).expect("finite");
         assert_eq!(phi.len(), 8);
         assert!((phi[0].phi[0] - 5.56).abs() < 0.01, "phi1 {:?}", phi[0]);
         assert!((phi[0].phi[1] + 0.87).abs() < 0.01);
@@ -102,7 +110,7 @@ mod tests {
     #[test]
     fn ell_one_is_constant_model() {
         let (fm, ys, orders) = fig1_setup();
-        let phi = learn_fixed(&fm, &ys, &orders, 1, 1e-9, 1);
+        let phi = learn_fixed(&fm, &ys, &orders, 1, 1e-9, 1).expect("finite");
         for (i, model) in phi.iter().enumerate() {
             assert_eq!(model.phi[0], ys[i]);
             assert_eq!(model.phi[1], 0.0);
@@ -115,7 +123,7 @@ mod tests {
         // Proposition 2's engine: with ℓ = n every tuple learns over all of
         // r, so all models coincide.
         let (fm, ys, orders) = fig1_setup();
-        let phi = learn_fixed(&fm, &ys, &orders, 8, 1e-9, 1);
+        let phi = learn_fixed(&fm, &ys, &orders, 8, 1e-9, 1).expect("finite");
         for model in &phi[1..] {
             for (a, b) in model.phi.iter().zip(&phi[0].phi) {
                 assert!((a - b).abs() < 1e-9);
@@ -130,8 +138,8 @@ mod tests {
     #[test]
     fn ell_clamped_to_n() {
         let (fm, ys, orders) = fig1_setup();
-        let a = learn_fixed(&fm, &ys, &orders, 999, 1e-9, 1);
-        let b = learn_fixed(&fm, &ys, &orders, 8, 1e-9, 1);
+        let a = learn_fixed(&fm, &ys, &orders, 999, 1e-9, 1).expect("finite");
+        let b = learn_fixed(&fm, &ys, &orders, 8, 1e-9, 1).expect("finite");
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.phi, y.phi);
         }
@@ -140,8 +148,8 @@ mod tests {
     #[test]
     fn parallel_matches_serial() {
         let (fm, ys, orders) = fig1_setup();
-        let serial = learn_fixed(&fm, &ys, &orders, 4, 1e-9, 1);
-        let parallel = learn_fixed(&fm, &ys, &orders, 4, 1e-9, 4);
+        let serial = learn_fixed(&fm, &ys, &orders, 4, 1e-9, 1).expect("finite");
+        let parallel = learn_fixed(&fm, &ys, &orders, 4, 1e-9, 4).expect("finite");
         for (a, b) in serial.iter().zip(&parallel) {
             assert_eq!(a.phi, b.phi);
         }

@@ -53,6 +53,13 @@ pub enum ImputeError {
         /// The query's arity.
         got: usize,
     },
+    /// Learning failed numerically: the training values are finite, but
+    /// so large that a regression's Gram sums overflow `f64`, so no
+    /// regularized solve has a finite solution.
+    NumericOverflow {
+        /// The incomplete attribute being imputed.
+        target: usize,
+    },
 }
 
 impl std::fmt::Display for ImputeError {
@@ -74,6 +81,11 @@ impl std::fmt::Display for ImputeError {
                     "query arity {got} does not match fitted arity {expected}"
                 )
             }
+            ImputeError::NumericOverflow { target } => write!(
+                f,
+                "learning attribute index {target} overflows f64 arithmetic: \
+                 the values are too large to regress on; rescale the data"
+            ),
         }
     }
 }

@@ -11,7 +11,7 @@
 
 use crate::matrix::Matrix;
 use crate::ridge::{accumulate_augmented, RidgeModel};
-use crate::solve::solve_spd_regularized;
+use crate::solve::{solve_spd_regularized_into, SpdScratch};
 
 /// Accumulates `U = XᵀX` and `V = XᵀY` over an *augmented* design
 /// (leading constant-1 column), supporting row insertion and removal.
@@ -88,10 +88,23 @@ impl GramAccumulator {
     /// the number of absorbed rows.
     ///
     /// Returns `None` when the escalating regularized solve fails (requires
-    /// non-finite data).
+    /// non-finite data). A wrapper over [`GramAccumulator::solve_into`]
+    /// that allocates the model.
     pub fn solve(&self, alpha: f64) -> Option<RidgeModel> {
-        let phi = solve_spd_regularized(&self.u, &self.v, alpha)?;
-        Some(RidgeModel { phi: phi.into() })
+        let mut phi = vec![0.0; self.v.len()];
+        self.solve_into(alpha, &mut SpdScratch::default(), &mut phi)
+            .then(|| RidgeModel { phi: phi.into() })
+    }
+
+    /// [`GramAccumulator::solve`] into caller storage: writes `φ` into
+    /// `phi` (length `m`) through the shared regularized Cholesky kernel
+    /// ([`solve_spd_regularized_into`]) and returns `true`, or `false`
+    /// (with `phi` unspecified) when the solve fails. Bitwise the
+    /// coefficients `solve` returns; with a reused `scratch` it allocates
+    /// nothing, which is how the adaptive sweep prices hundreds of
+    /// candidate models per tuple.
+    pub fn solve_into(&self, alpha: f64, scratch: &mut SpdScratch, phi: &mut [f64]) -> bool {
+        solve_spd_regularized_into(&self.u, &self.v, alpha, scratch, phi)
     }
 
     /// Resets to the empty state, keeping the allocation.

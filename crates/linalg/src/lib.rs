@@ -22,6 +22,10 @@
 //! * [`GramAccumulator`] — the incremental `U`/`V`
 //!   pair of Proposition 3: add rows in O(m²) and re-solve in O(m³),
 //!   independent of how many rows have been absorbed.
+//! * [`solve_spd_regularized_into`](solve::solve_spd_regularized_into) —
+//!   the one regularized Cholesky kernel behind every ridge solve, writing
+//!   into caller scratch ([`SpdScratch`]) so sweeps over many systems
+//!   allocate nothing.
 //!
 //! Everything is `f64`; the workspace deliberately avoids external linear
 //! algebra crates (see DESIGN.md).
@@ -36,8 +40,8 @@ pub mod svd;
 pub use eigen::eigen_sym;
 pub use gram::GramAccumulator;
 pub use matrix::Matrix;
-pub use ridge::{ridge_fit, ridge_fit_weighted, RidgeModel};
-pub use solve::{cholesky, solve_spd, LuFactors};
+pub use ridge::{predict_phi, ridge_fit, ridge_fit_weighted, RidgeModel};
+pub use solve::{cholesky, regularizing_shifts, solve_spd, LuFactors, SpdScratch};
 pub use svd::{thin_svd, ThinSvd};
 
 /// Numerical tolerance used across the crate for "is effectively zero"

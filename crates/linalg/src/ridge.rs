@@ -35,8 +35,7 @@ impl RidgeModel {
     /// Predicts `(1, x) · φ` for a feature vector `x` (without the leading 1).
     #[inline]
     pub fn predict(&self, x: &[f64]) -> f64 {
-        debug_assert_eq!(x.len() + 1, self.phi.len());
-        self.phi[0] + dot(&self.phi[1..], x)
+        predict_phi(&self.phi, x)
     }
 
     /// Number of (non-intercept) features the model expects.
@@ -48,6 +47,15 @@ impl RidgeModel {
     pub fn is_finite(&self) -> bool {
         self.phi.iter().all(|v| v.is_finite())
     }
+}
+
+/// `(1, x) · φ` for coefficients laid out like [`RidgeModel::phi`] — the
+/// prediction of a model that lives in a scratch buffer (bitwise
+/// [`RidgeModel::predict`]).
+#[inline]
+pub fn predict_phi(phi: &[f64], x: &[f64]) -> f64 {
+    debug_assert_eq!(x.len() + 1, phi.len());
+    phi[0] + dot(&phi[1..], x)
 }
 
 /// Fits ridge regression over `(rows[i], ys[i])` pairs.

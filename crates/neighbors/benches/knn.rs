@@ -9,16 +9,21 @@
 //! index can prune much past m≈4 — the curse of dimensionality) and a
 //! two-factor latent model (intrinsic dimension ~2, the correlated shape
 //! real relations have, where tree pruning keeps paying at higher m).
+//! The orders-build groups bench both sides of the depth cutover
+//! (`SELECT_DEPTH_RATIO`): depth 32 over 4,096 points stays on the tree,
+//! depth 1,000 over 4,750 (the `offline_fit` shape) takes the selection.
 //!
 //! CI smoke-runs this whole file with `cargo bench -- --quick`.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use iim_neighbors::brute::FeatureMatrix;
+use iim_neighbors::brute::{FeatureMatrix, Neighbor};
+use iim_neighbors::orders::SELECT_DEPTH_RATIO;
 use iim_neighbors::{
     sq_dist_f, sq_dist_many, IndexChoice, KnnScratch, NeighborIndex, NeighborOrders,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::cell::Cell;
 
 fn random_matrix(n: usize, m: usize, seed: u64) -> FeatureMatrix {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -148,6 +153,53 @@ fn bench_orders_build(c: &mut Criterion) {
                 &iim_exec::global(),
                 &brute,
                 32,
+            ))
+        });
+    });
+    group.finish();
+
+    // The offline_fit shape: orders deep enough (depth/n ≈ 0.21, past
+    // `SELECT_DEPTH_RATIO`) that `build_from_index` skips the VP-tree it
+    // is handed and selects from a full scan. `vptree` runs the per-point
+    // tree queries the build would otherwise make.
+    let (n, depth) = (4750, 1000);
+    let fm = random_matrix(n, 4, 5);
+    let vp = NeighborIndex::build(fm.clone(), IndexChoice::VpTree);
+    let NeighborIndex::VpTree(tree) = &vp else {
+        unreachable!("built as a VP-tree")
+    };
+    assert!(
+        depth * SELECT_DEPTH_RATIO >= n,
+        "the cell must take the selection path"
+    );
+    let tree_rows = || {
+        thread_local! {
+            static SCRATCH: Cell<(KnnScratch, Vec<Neighbor>)> = Cell::new(Default::default());
+        }
+        let mut order = vec![0u32; n * depth];
+        iim_exec::global().parallel_fill_rows(depth, &mut order, |i, row| {
+            iim_exec::with_tls_scratch(&SCRATCH, |(scratch, out)| {
+                tree.knn_with(fm.point(i), depth, scratch, out);
+                for (slot, nb) in row.iter_mut().zip(out.iter()) {
+                    *slot = nb.pos;
+                }
+            })
+        });
+        order
+    };
+    // Bitwise parity on the benched workload before timing it.
+    let selected = NeighborOrders::build_from_index(&iim_exec::global(), &vp, depth);
+    for (i, row) in tree_rows().chunks(depth).enumerate() {
+        assert_eq!(selected.neighbors_of(i), row, "point {i}");
+    }
+    let mut group = c.benchmark_group("orders_build_n4750_m4_depth1000");
+    group.bench_function("vptree", |b| b.iter(|| black_box(tree_rows())));
+    group.bench_function("selection", |b| {
+        b.iter(|| {
+            black_box(NeighborOrders::build_from_index(
+                &iim_exec::global(),
+                &vp,
+                depth,
             ))
         });
     });

@@ -105,7 +105,7 @@ proptest! {
         let flat: Vec<f64> = xs.iter().flatten().copied().collect();
         let fm = FeatureMatrix::from_dense(f, (0..n as u32).collect::<Vec<u32>>(), flat);
         let orders = NeighborOrders::build(&fm, n.min(ell.max(1)));
-        let models = iim::core::learn_fixed(&fm, &ys, &orders, ell.min(n), 1e-6, 1);
+        let models = iim::core::learn_fixed(&fm, &ys, &orders, ell.min(n), 1e-6, 1).expect("finite");
         let q = vec![0.25; f];
         let cands = iim::core::impute_candidates(&fm, &models, &q, k);
         let vals: Vec<f64> = cands.iter().map(|(_, c)| *c).collect();

@@ -385,3 +385,30 @@ fn kind1_snapshot_loads_onto_the_vptree_and_serves_the_same_bytes() {
         "served output differs from the committed output"
     );
 }
+
+/// Finite values near 1e160 overflow IIM's Gram sums: the fit fails with
+/// a data error (exit 1) and a message, never a panic (exit 101).
+#[test]
+fn impute_on_overflowing_values_is_an_error_not_a_panic() {
+    let dir = temp_dir("overflow");
+    let mut body = String::from("a,b,c\n");
+    for i in 0..300 {
+        let a = 1e160 * (1.0 + i as f64 / 300.0);
+        let b = 1e160 * (2.0 - (i as f64 * 0.1).sin());
+        if i % 10 == 0 {
+            body.push_str(&format!("{a:e},{b:e},\n"));
+        } else {
+            body.push_str(&format!("{a:e},{b:e},{:e}\n", a + b));
+        }
+    }
+    let input = dir.join("huge.csv");
+    std::fs::write(&input, body).unwrap();
+    let out = Command::new(iim_bin())
+        .args(["impute", "--method", "IIM", input.to_str().unwrap()])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(stderr.contains("overflows"), "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+}

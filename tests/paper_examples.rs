@@ -84,7 +84,8 @@ fn example_4_adaptive_selection() {
         1e-9,
         1,
         true,
-    );
+    )
+    .expect("finite training data");
     // ℓ*₂ = 4 with φ₂ = (5.56, -0.87).
     assert_eq!(out.chosen_ell[1], 4);
     assert!((out.models[1].phi[0] - 5.56).abs() < 0.01);
